@@ -30,7 +30,7 @@ use scenario::{
 };
 use serde::Serialize;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use traj::FlushPolicy;
 
 #[derive(Serialize)]
@@ -64,7 +64,6 @@ struct Report {
     arrivals_per_tick: f64,
     shards: usize,
     max_batch: usize,
-    max_delay_us: u64,
     queue_capacity: usize,
     host_cores: usize,
     baseline_events_per_sec: f64,
@@ -176,7 +175,7 @@ fn main() {
     } else {
         (240u32, 1.5f64, 4usize)
     };
-    let flush = FlushPolicy::new(64, Duration::from_millis(1));
+    let flush = FlushPolicy::new(64);
     let queue_capacity = 256;
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
 
@@ -281,7 +280,6 @@ fn main() {
         arrivals_per_tick: arrivals,
         shards,
         max_batch: flush.max_batch,
-        max_delay_us: flush.max_delay.as_micros() as u64,
         queue_capacity,
         host_cores,
         baseline_events_per_sec,

@@ -60,7 +60,6 @@ struct Report {
     hidden_dim: usize,
     host_cores: usize,
     max_batch: usize,
-    max_delay_us: u64,
     /// Final telemetry snapshot of the last row (swap events + spans
     /// included).
     obs: Snapshot,
@@ -315,7 +314,7 @@ fn main() {
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     let ingest_config = IngestConfig {
-        flush: FlushPolicy::new(128, Duration::from_millis(1)),
+        flush: FlushPolicy::new(128),
         queue_capacity: 512,
         outbox_capacity: 256,
         obs: Obs::disabled(),
@@ -389,7 +388,6 @@ fn main() {
         hidden_dim: config.hidden_dim,
         host_cores,
         max_batch: ingest_config.flush.max_batch,
-        max_delay_us: ingest_config.flush.max_delay.as_micros() as u64,
         obs: snapshot,
         results,
     };

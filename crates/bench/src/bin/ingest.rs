@@ -4,16 +4,15 @@
 //! Drives the RL4OASD [`rl4oasd::IngestEngine`] the way production would:
 //! producer threads submit independent per-point events through a cloned
 //! [`traj::IngestHandle`] (retrying on `QueueFull` backpressure), persistent
-//! per-shard workers micro-batch them into `observe_batch` ticks under the
-//! [`traj::FlushPolicy`] latency SLO, and labels stream back through
-//! per-session subscriptions. Reported per row: sustained points/sec
-//! **and p50/p95/p99 submit→label latency** (from the front door's HDR
-//! histogram — queue wait counts against the SLO), sweeping shard count
-//! {1, 4} × concurrent sessions {100, 10k}.
+//! per-shard workers group-commit them into `observe_batch` ticks
+//! ([`traj::FlushPolicy`]: whatever is queued, up to `max_batch`), and
+//! labels stream back through per-session subscriptions. Reported per
+//! row: sustained points/sec **and p50/p95/p99 submit→label latency**
+//! (from the front door's HDR histogram — queue wait included), sweeping
+//! shard count {1, 4} × concurrent sessions {100, 10k}.
 //!
 //! Closed-loop producers saturate the engine, so tail latency here is the
-//! *backpressured* latency — bounded by `queue_capacity / service_rate`,
-//! not by `max_delay` (which dominates only below saturation).
+//! *backpressured* latency — bounded by `queue_capacity / service_rate`.
 //!
 //! ```text
 //! cargo run --release -p bench_suite --bin ingest [-- out.json]
@@ -25,7 +24,7 @@ use rnet::{CityBuilder, CityConfig, RoadNetwork};
 use serde::Serialize;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use traj::{
     Dataset, FlushPolicy, IngestConfig, IngestHandle, MappedTrajectory, SubmitError, Subscription,
     TrafficConfig, TrafficSimulator,
@@ -57,7 +56,6 @@ struct Report {
     embed_dim: usize,
     host_cores: usize,
     max_batch: usize,
-    max_delay_us: u64,
     queue_capacity: usize,
     /// Overhead probe on the smallest row (100 sessions × 1 shard):
     /// best of 3 alternated runs with telemetry off vs on.
@@ -255,7 +253,7 @@ fn main() {
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     let ingest_config = IngestConfig {
-        flush: FlushPolicy::new(128, Duration::from_millis(1)),
+        flush: FlushPolicy::new(128),
         queue_capacity: 512,
         outbox_capacity: 256,
         obs: Obs::disabled(),
@@ -353,7 +351,6 @@ fn main() {
         embed_dim: config.embed_dim,
         host_cores,
         max_batch: ingest_config.flush.max_batch,
-        max_delay_us: ingest_config.flush.max_delay.as_micros() as u64,
         queue_capacity: ingest_config.queue_capacity,
         obs_off_points_per_sec,
         obs_on_points_per_sec,

@@ -5,7 +5,7 @@
 //! ([`scenario::standard_suite`]) on **both** synthetic cities (the
 //! Chengdu-like grid and the Porto-like radial network), replaying every
 //! `(seed, spec)` trace through the async ingest front door at a fixed
-//! flush SLO and cross-checking the labels against the synchronous
+//! flush policy and cross-checking the labels against the synchronous
 //! sharded path (the replay-determinism invariant, enforced here on every
 //! soak run, not just in tests). Reported per row: detection quality
 //! (segment-level precision/recall/F1 plus the paper's span-level F1)
@@ -24,7 +24,7 @@ use rl4oasd::Rl4oasdConfig;
 use scenario::{Backpressure, Driver, EventTrace, NetworkKind, ScenarioRunner, World};
 use serde::Serialize;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use traj::FlushPolicy;
 
 #[derive(Serialize)]
@@ -54,7 +54,6 @@ struct Report {
     arrivals_per_tick: f64,
     shards: usize,
     max_batch: usize,
-    max_delay_us: u64,
     queue_capacity: usize,
     host_cores: usize,
     /// Events/sec of the first trace replayed with telemetry on vs the
@@ -84,7 +83,7 @@ fn main() {
     } else {
         (240u32, 1.5f64, 4usize, 0x5CEA_2026u64)
     };
-    let flush = FlushPolicy::new(64, Duration::from_millis(1));
+    let flush = FlushPolicy::new(64);
     let queue_capacity = 512;
 
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -241,7 +240,6 @@ fn main() {
         arrivals_per_tick: arrivals,
         shards,
         max_batch: flush.max_batch,
-        max_delay_us: flush.max_delay.as_micros() as u64,
         queue_capacity,
         host_cores,
         obs_on_events_per_sec,

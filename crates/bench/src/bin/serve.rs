@@ -8,7 +8,7 @@
 //! `points_per_session` road-segment events. Reported per row: sustained
 //! points/sec **and p50/p99 submit→label latency measured at the
 //! client** — the full round trip through encode → TCP → decode →
-//! ingress queue → micro-batch flush → label outbox → TCP → decode, i.e.
+//! ingress queue → micro-batch flush → label sink → TCP → decode, i.e.
 //! what a remote producer actually experiences, unlike
 //! `BENCH_ingest.json`'s in-process histogram.
 //!
@@ -28,7 +28,6 @@ use rnet::{CityBuilder, CityConfig};
 use serde::Serialize;
 use serve::{run_load, LoadSpec, Server, ServerConfig};
 use std::sync::Arc;
-use std::time::Duration;
 use traj::{Dataset, FlushPolicy, IngestConfig, TrafficConfig, TrafficSimulator};
 
 #[derive(Serialize)]
@@ -55,7 +54,6 @@ struct Report {
     city: String,
     host_cores: usize,
     max_batch: usize,
-    max_delay_us: u64,
     queue_capacity: usize,
     /// Final telemetry snapshot of the largest row (serve counters +
     /// ingest histograms).
@@ -89,7 +87,7 @@ fn main() {
     let num_segments = net.num_segments() as u32;
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
 
-    let flush = FlushPolicy::new(128, Duration::from_millis(1));
+    let flush = FlushPolicy::new(128);
     let queue_capacity = 512;
     // Small rings keep the embedded snapshot a readable size in the JSON.
     let obs_rings = ObsConfig {
@@ -182,7 +180,6 @@ fn main() {
         city: "Chengdu-sim".to_string(),
         host_cores,
         max_batch: flush.max_batch,
-        max_delay_us: flush.max_delay.as_micros() as u64,
         queue_capacity,
         obs: snapshot,
         results,

@@ -8,11 +8,12 @@
 //! from a fleet): the same shard layout — N [`StreamEngine`]s behind one
 //! `Arc<TrainedModel>` + `Arc<RoadNetwork>`, zero weight duplication —
 //! but each shard is owned by a **persistent worker thread** fed through
-//! a bounded ingress queue, micro-batching arrivals into `observe_batch`
-//! ticks under a [`traj::FlushPolicy`] latency SLO.
+//! a bounded ingress queue, group-committing arrivals into `observe_batch`
+//! ticks ([`traj::FlushPolicy`]).
 //!
 //! Producers keep only a cheap cloneable [`IngestHandle`]; labels return
-//! through per-session [`traj::Subscription`] outboxes. Per-session label
+//! through per-session [`traj::Subscription`]s — or, for a consumer with
+//! many sessions, one shared [`traj::LabelSink`]. Per-session label
 //! sequences are byte-identical to the synchronous engines for any flush
 //! policy and shard count (property-tested in `tests/ingest.rs`).
 //!
@@ -341,7 +342,7 @@ mod tests {
             Arc::clone(&net),
             2,
             IngestConfig {
-                flush: FlushPolicy::new(4, std::time::Duration::from_micros(200)),
+                flush: FlushPolicy::new(4),
                 ..Default::default()
             },
         );

@@ -134,6 +134,11 @@ pub mod names {
     pub const SERVE_QUOTA_SHED: &str = "oasd_serve_quota_shed_total";
     /// Ops (HTTP) requests served, labelled `{path}`.
     pub const SERVE_HTTP_REQUESTS: &str = "oasd_serve_http_requests_total";
+    /// Times a connection's label pump came back from its sink — one per
+    /// flush that delivered to the connection; zero while it is idle.
+    pub const SERVE_PUMP_WAKEUPS: &str = "oasd_serve_pump_wakeups_total";
+    /// `Label` frames written to clients by the label pumps.
+    pub const SERVE_LABEL_FRAMES: &str = "oasd_serve_label_frames_total";
 }
 
 /// Construction options for [`Obs::new`]. `Default` is

@@ -25,8 +25,11 @@ pub enum Stage {
     Flush,
     /// The `observe_batch` call inside a flush.
     BatchCompute,
-    /// Outbox fan-out of freshly computed labels to subscribers.
+    /// Fan-out of freshly computed labels into the consumers' sinks.
     LabelDelivery,
+    /// One wake-up of a serving connection's label pump: sink take →
+    /// frames encoded → `write_all` returned.
+    PumpWrite,
     /// One idle-session hibernation sweep in `StreamEngine`.
     HibernateSweep,
     /// One `swap_model` application (epoch publish + retire scan).
@@ -44,6 +47,7 @@ impl Stage {
             Stage::Flush => "flush",
             Stage::BatchCompute => "batch_compute",
             Stage::LabelDelivery => "label_delivery",
+            Stage::PumpWrite => "pump_write",
             Stage::HibernateSweep => "hibernate_sweep",
             Stage::SwapApply => "swap_apply",
             Stage::RestartSweep => "restart_sweep",

@@ -52,7 +52,7 @@ pub enum Driver {
     Ingest {
         /// Shard count.
         shards: usize,
-        /// Micro-batching policy (the SLO under test).
+        /// Micro-batching policy under test.
         flush: FlushPolicy,
         /// Per-shard ingress queue capacity.
         queue_capacity: usize,
@@ -417,8 +417,8 @@ impl ScenarioRunner {
         };
         // FIFO per connection means opens/points/closes need no
         // acknowledgement round-trips — pipeline everything, draining
-        // responses often enough that neither the per-session outboxes
-        // nor the client-side socket buffer backs up.
+        // responses often enough that neither the connection's label
+        // sink nor the client-side socket buffer backs up.
         let mut since_drain = 0u32;
         for tick in &trace.ticks {
             for &(id, sd, t0) in &tick.opens {

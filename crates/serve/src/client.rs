@@ -14,8 +14,8 @@ use std::time::{Duration, Instant};
 ///
 /// The protocol is fully pipelined: callers may queue many requests
 /// before reading any response, but a producer that submits without ever
-/// draining eventually fills the server's per-session outboxes and
-/// stalls the pipe — interleave [`Client::try_recv`] with submits (the
+/// draining eventually fills the connection's label sink on the server
+/// and stalls the pipe — interleave [`Client::try_recv`] with submits (the
 /// load generator and `Driver::Net` both do).
 pub struct Client {
     stream: TcpStream,

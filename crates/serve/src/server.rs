@@ -6,10 +6,14 @@
 //! one accept thread per listener; per wire connection a **reader**
 //! thread (decodes request frames, performs opens/submits/closes against
 //! the ingest handle, answers `Opened`/`Rejected` inline) and a **pump**
-//! thread (drains per-session [`traj::Subscription`] outboxes into
-//! `Label` frames, polls [`traj::CloseTicket`]s into `Closed` frames).
-//! Both write through one mutex-held socket clone, each frame in a single
-//! `write_all`, so frames never interleave mid-frame.
+//! thread. The reader opens every session of the connection onto one
+//! [`traj::LabelSink`]; the shard workers push labels, faults and close
+//! results into it and wake the pump once per flush; the pump blocks on
+//! that sink alone — no timer, no per-session sweep, zero wake-ups while
+//! the connection is idle — encodes what it took into
+//! `Label`/`Fault`/`Closed` frames and writes them in one `write_all`.
+//! Both threads write through one mutex-held socket clone, each frame in
+//! a single `write_all`, so frames never interleave mid-frame.
 //!
 //! Multi-tenancy: each `Open` frame names a tenant; the server enforces
 //! per-tenant session quotas and maps the tenant id onto an engine
@@ -20,20 +24,19 @@
 
 use crate::proto::{encode_frame, fault_code, Frame, FrameReader, WireError, MAX_FRAME, PREAMBLE};
 use bytes::BytesMut;
-use obs::{names, Obs};
+use obs::{names, Obs, Stage};
 use rl4oasd::{IngestEngine, IngestReport, StreamEngine, SwapModel, TrainedModel};
 use rnet::{RoadNetwork, SegmentId};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use traj::{
-    CloseTicket, IngestConfig, IngestHandle, Priority, RetryPolicy, SdPair, SessionId, SubmitError,
-    Subscription,
+    IngestConfig, IngestHandle, LabelSink, Priority, RetryPolicy, SdPair, SessionId, SinkConsumer,
+    SinkEvent, SubmitError,
 };
 
 /// One tenant the server will admit: sessions opened under `id` count
@@ -102,6 +105,27 @@ struct TenantState {
     /// once the tenant received a scoped swap, otherwise it follows the
     /// engine-wide current epoch.
     scoped_seq: Option<u32>,
+    /// `{tenant}`-labelled counters, resolved once per tenant (inert
+    /// when telemetry is off) so an open formats and looks up nothing.
+    obs_opens: obs::Counter,
+    obs_quota_shed: obs::Counter,
+}
+
+impl TenantState {
+    fn new(id: u32, name: String, max: usize, obs: &Obs) -> TenantState {
+        let id = id.to_string();
+        let labels: &[(&str, &str)] = &[("tenant", &id)];
+        TenantState {
+            name,
+            max,
+            live: 0,
+            opened: 0,
+            quota_shed: 0,
+            scoped_seq: None,
+            obs_opens: obs.counter(names::SERVE_OPENS, labels),
+            obs_quota_shed: obs.counter(names::SERVE_QUOTA_SHED, labels),
+        }
+    }
 }
 
 /// Tenant admission registry. Also the bookkeeping mirror of the
@@ -112,6 +136,7 @@ struct Tenants {
     inner: Mutex<TenantTable>,
     /// Open admission: unknown tenants are auto-registered (unlimited).
     open_admission: bool,
+    obs: Obs,
 }
 
 struct TenantTable {
@@ -123,21 +148,13 @@ struct TenantTable {
 }
 
 impl Tenants {
-    fn new(specs: &[TenantSpec]) -> Tenants {
-        let open_admission = specs.is_empty();
+    fn new(specs: &[TenantSpec], obs: &Obs) -> Tenants {
         let tenants = specs
             .iter()
             .map(|s| {
                 (
                     s.id,
-                    TenantState {
-                        name: s.name.clone(),
-                        max: s.max_sessions,
-                        live: 0,
-                        opened: 0,
-                        quota_shed: 0,
-                        scoped_seq: None,
-                    },
+                    TenantState::new(s.id, s.name.clone(), s.max_sessions, obs),
                 )
             })
             .collect();
@@ -147,34 +164,40 @@ impl Tenants {
                 global_seq: 0,
                 swap_counter: 0,
             }),
-            open_admission,
+            open_admission: specs.is_empty(),
+            obs: obs.clone(),
         }
     }
 
+    /// An auto-registered (open-admission) tenant: unlimited quota.
+    fn auto(&self, tenant: u32) -> TenantState {
+        TenantState::new(tenant, format!("tenant-{tenant}"), 0, &self.obs)
+    }
+
     /// Admits one open for `tenant`, charging its quota. Returns the
-    /// epoch swap seq the session will pin.
-    fn admit(&self, tenant: u32) -> Result<u32, WireError> {
+    /// epoch swap seq the session will pin and the tenant's opens
+    /// counter, to be bumped once the door has accepted the open.
+    fn admit(&self, tenant: u32) -> Result<(u32, obs::Counter), WireError> {
         let mut t = self.inner.lock().expect("tenant registry poisoned");
         let global_seq = t.global_seq;
         let state = match t.tenants.get_mut(&tenant) {
             Some(state) => state,
-            None if self.open_admission => t.tenants.entry(tenant).or_insert_with(|| TenantState {
-                name: format!("tenant-{tenant}"),
-                max: 0,
-                live: 0,
-                opened: 0,
-                quota_shed: 0,
-                scoped_seq: None,
-            }),
+            None if self.open_admission => {
+                t.tenants.entry(tenant).or_insert_with(|| self.auto(tenant))
+            }
             None => return Err(WireError::UnknownTenant),
         };
         if state.max != 0 && state.live >= state.max {
             state.quota_shed += 1;
+            state.obs_quota_shed.inc();
             return Err(WireError::QuotaExhausted);
         }
         state.live += 1;
         state.opened += 1;
-        Ok(state.scoped_seq.unwrap_or(global_seq))
+        Ok((
+            state.scoped_seq.unwrap_or(global_seq),
+            state.obs_opens.clone(),
+        ))
     }
 
     /// Returns one session of `tenant`'s quota.
@@ -198,20 +221,11 @@ impl Tenants {
         let mut t = self.inner.lock().expect("tenant registry poisoned");
         t.swap_counter += 1;
         let seq = t.swap_counter;
+        if self.open_admission {
+            t.tenants.entry(tenant).or_insert_with(|| self.auto(tenant));
+        }
         if let Some(state) = t.tenants.get_mut(&tenant) {
             state.scoped_seq = Some(seq);
-        } else if self.open_admission {
-            t.tenants.insert(
-                tenant,
-                TenantState {
-                    name: format!("tenant-{tenant}"),
-                    max: 0,
-                    live: 0,
-                    opened: 0,
-                    quota_shed: 0,
-                    scoped_seq: Some(seq),
-                },
-            );
         }
         seq
     }
@@ -246,6 +260,12 @@ struct ServeMetrics {
     frames_open: obs::Counter,
     frames_submit: obs::Counter,
     frames_close: obs::Counter,
+    /// Times a pump came back from its sink with something to do.
+    pump_wakeups: obs::Counter,
+    /// `Label` frames written by pumps.
+    label_frames: obs::Counter,
+    /// Sink take → `write_all` returned, per pump wake-up.
+    pump_write: obs::StageHandle,
 }
 
 impl ServeMetrics {
@@ -255,6 +275,9 @@ impl ServeMetrics {
             frames_open: obs.counter(names::SERVE_FRAMES, &[("op", "open")]),
             frames_submit: obs.counter(names::SERVE_FRAMES, &[("op", "submit")]),
             frames_close: obs.counter(names::SERVE_FRAMES, &[("op", "close")]),
+            pump_wakeups: obs.counter(names::SERVE_PUMP_WAKEUPS, &[]),
+            label_frames: obs.counter(names::SERVE_LABEL_FRAMES, &[]),
+            pump_write: obs.stage(Stage::PumpWrite, 0),
         }
     }
 }
@@ -326,7 +349,7 @@ impl Server {
         let shared = Arc::new(Shared {
             stop: AtomicBool::new(false),
             handle: engine.handle(),
-            tenants: Tenants::new(&tenants),
+            tenants: Tenants::new(&tenants, &obs),
             retry,
             num_segments,
             metrics: ServeMetrics::resolve(&obs),
@@ -475,26 +498,6 @@ fn spawn_accept(
         .expect("spawn accept thread")
 }
 
-/// Commands from a connection's reader thread to its label pump.
-enum PumpCmd {
-    /// A session opened: stream its labels.
-    Add {
-        cid: u64,
-        tenant: u32,
-        sub: Subscription,
-    },
-    /// A close was issued; answer `Closed`/`Fault` when the ticket lands.
-    Close { cid: u64, ticket: CloseTicket },
-    /// No more commands follow. `bye` = answer `Frame::Bye` once drained.
-    Done { bye: bool },
-}
-
-struct PumpSession {
-    tenant: u32,
-    sub: Subscription,
-    faulted: bool,
-}
-
 /// Writes pre-encoded frames in one syscall; errors are ignored (the
 /// peer may already be gone — bookkeeping must still complete).
 fn write_frames(writer: &Mutex<TcpStream>, out: &mut BytesMut) {
@@ -503,157 +506,102 @@ fn write_frames(writer: &Mutex<TcpStream>, out: &mut BytesMut) {
     }
     let mut w = writer.lock().expect("connection writer poisoned");
     let _ = w.write_all(out);
-    *out = BytesMut::new();
+    out.clear();
 }
 
-fn pump_loop(shared: Arc<Shared>, writer: Arc<Mutex<TcpStream>>, rx: Receiver<PumpCmd>) {
-    let mut sessions: HashMap<u64, PumpSession> = HashMap::new();
-    let mut closing: Vec<(u64, CloseTicket)> = Vec::new();
-    let mut done: Option<bool> = None;
+/// A connection's label pump: blocks on the connection's sink, turns
+/// each batch it takes into frames and writes them at once. `hangup` is
+/// set (then the sink poked) by the reader when the connection is over,
+/// to the number of closes it issued; the pump leaves once it has
+/// answered that many — or the sink disconnected under it.
+fn pump_loop(
+    shared: Arc<Shared>,
+    writer: Arc<Mutex<TcpStream>>,
+    sink: SinkConsumer,
+    hangup: Arc<OnceLock<u64>>,
+) {
+    let mut events = VecDeque::new();
     let mut out = BytesMut::new();
-    let mut labels = Vec::new();
+    let mut closed = 0u64;
     loop {
-        let mut progressed = false;
-        loop {
-            match rx.try_recv() {
-                Ok(PumpCmd::Add { cid, tenant, sub }) => {
-                    sessions.insert(
-                        cid,
-                        PumpSession {
-                            tenant,
-                            sub,
-                            faulted: false,
-                        },
-                    );
-                    progressed = true;
-                }
-                Ok(PumpCmd::Close { cid, ticket }) => {
-                    closing.push((cid, ticket));
-                    progressed = true;
-                }
-                Ok(PumpCmd::Done { bye }) => {
-                    done = Some(bye);
-                    progressed = true;
-                }
-                Err(_) => break,
-            }
-        }
-        // Stream provisional labels; surface terminal faults once.
-        for (&cid, st) in sessions.iter_mut() {
-            labels.clear();
-            st.sub.drain_into(&mut labels);
-            for &label in &labels {
-                encode_frame(
-                    &Frame::Label {
-                        session: cid,
+        let connected = sink.recv_into(&mut events);
+        shared.metrics.pump_wakeups.inc();
+        let span = shared.metrics.pump_write.start();
+        let mut labels = 0u64;
+        for event in events.drain(..) {
+            let frame = match event {
+                SinkEvent::Label { key, label } => {
+                    labels += 1;
+                    Frame::Label {
+                        session: key,
                         label,
-                    },
-                    &mut out,
-                );
-                progressed = true;
-            }
-            if !st.faulted {
-                if let Some(fault) = st.sub.fault() {
-                    encode_frame(
-                        &Frame::Fault {
-                            session: cid,
+                    }
+                }
+                SinkEvent::Fault { key, fault } => Frame::Fault {
+                    session: key,
+                    fault: fault_code(fault),
+                },
+                SinkEvent::Closed { key, result } => {
+                    closed += 1;
+                    match result {
+                        // The ticket's final labels are authoritative.
+                        // MAX_FRAME bounds the label payload;
+                        // trajectories are far shorter in practice.
+                        Ok(mut labels) => {
+                            labels.truncate(MAX_FRAME - 32);
+                            Frame::Closed {
+                                session: key,
+                                labels,
+                            }
+                        }
+                        Err(fault) => Frame::Fault {
+                            session: key,
                             fault: fault_code(fault),
                         },
-                        &mut out,
-                    );
-                    st.faulted = true;
-                    progressed = true;
-                }
-            }
-        }
-        // Resolve closes: the ticket's final labels are authoritative.
-        let mut k = 0;
-        while k < closing.len() {
-            match closing[k].1.try_wait() {
-                None => k += 1,
-                Some(result) => {
-                    let (cid, _) = closing.swap_remove(k);
-                    match result {
-                        Ok(final_labels) => {
-                            // Drain any labels the outbox delivered after
-                            // our last sweep, then send the authoritative
-                            // close. MAX_FRAME bounds the label payload;
-                            // trajectories are far shorter in practice.
-                            if let Some(st) = sessions.get(&cid) {
-                                labels.clear();
-                                st.sub.drain_into(&mut labels);
-                                for &label in &labels {
-                                    encode_frame(
-                                        &Frame::Label {
-                                            session: cid,
-                                            label,
-                                        },
-                                        &mut out,
-                                    );
-                                }
-                            }
-                            let mut final_labels = final_labels;
-                            final_labels.truncate(MAX_FRAME - 32);
-                            encode_frame(
-                                &Frame::Closed {
-                                    session: cid,
-                                    labels: final_labels,
-                                },
-                                &mut out,
-                            );
-                        }
-                        Err(fault) => {
-                            encode_frame(
-                                &Frame::Fault {
-                                    session: cid,
-                                    fault: fault_code(fault),
-                                },
-                                &mut out,
-                            );
-                        }
                     }
-                    if let Some(st) = sessions.remove(&cid) {
-                        shared.tenants.release(st.tenant);
-                    }
-                    progressed = true;
                 }
-            }
+            };
+            encode_frame(&frame, &mut out);
         }
+        shared.metrics.label_frames.add(labels);
         write_frames(&writer, &mut out);
-        if let Some(bye) = done {
-            if closing.is_empty() {
-                // The reader has closed every session it still knew;
-                // sessions left here were faulted (their ticket already
-                // resolved) or abandoned by the peer — release them.
-                for (_, st) in sessions.drain() {
-                    shared.tenants.release(st.tenant);
-                }
-                if bye {
-                    encode_frame(&Frame::Bye, &mut out);
-                    write_frames(&writer, &mut out);
-                }
-                return;
-            }
+        shared.metrics.pump_write.finish(span);
+        if !connected || hangup.get().is_some_and(|&closes| closed >= closes) {
+            return;
         }
-        if !progressed {
-            // Idle: nap briefly rather than spin. Commands, labels and
-            // tickets all tolerate this polling latency.
-            match rx.recv_timeout(Duration::from_micros(200)) {
-                Ok(PumpCmd::Add { cid, tenant, sub }) => {
-                    sessions.insert(
-                        cid,
-                        PumpSession {
-                            tenant,
-                            sub,
-                            faulted: false,
-                        },
-                    );
-                }
-                Ok(PumpCmd::Close { cid, ticket }) => closing.push((cid, ticket)),
-                Ok(PumpCmd::Done { bye }) => done = Some(bye),
-                Err(_) => {}
-            }
-        }
+    }
+}
+
+/// The reader's view of its connection.
+struct Conn {
+    /// cid → (engine session, tenant). Entries leave on close.
+    sessions: HashMap<u64, (SessionId, u32)>,
+    /// The sink every session of the connection is opened onto.
+    sink: LabelSink,
+    /// Closes the door accepted — what the pump must answer.
+    closes: u64,
+}
+
+impl Conn {
+    /// Closes a session (already off `sessions`) into the engine; its
+    /// result reaches the client through the pump. The tenant's quota
+    /// slot returns here: a close the door has taken is ahead, in the
+    /// session's shard queue, of any open admitted after it.
+    fn close(
+        &mut self,
+        shared: &Shared,
+        cid: u64,
+        sid: SessionId,
+        tenant: u32,
+    ) -> Result<(), SubmitError> {
+        shared.tenants.release(tenant);
+        // Closes retry `QueueFull` like submits do: a close racing a
+        // full shard queue must not leak the session (and strand its
+        // undelivered tail labels) just because the queue was busy.
+        shared
+            .retry
+            .run(cid, || shared.handle.close_onto(&self.sink, cid, sid))
+            .map(|()| self.closes += 1)
     }
 }
 
@@ -692,18 +640,23 @@ fn serve_wire_conn(shared: Arc<Shared>, stream: TcpStream) {
         return;
     }
 
-    let (tx, rx) = channel::<PumpCmd>();
+    let (sink, consumer) = shared.handle.label_sink();
+    let hangup = Arc::new(OnceLock::new());
     let pump = {
         let shared = Arc::clone(&shared);
         let writer = Arc::clone(&writer);
+        let hangup = Arc::clone(&hangup);
         std::thread::Builder::new()
             .name("serve-pump".to_string())
-            .spawn(move || pump_loop(shared, writer, rx))
+            .spawn(move || pump_loop(shared, writer, consumer, hangup))
             .expect("spawn label pump")
     };
 
-    // cid → (engine session, tenant). Entries leave on close.
-    let mut sessions: HashMap<u64, (SessionId, u32)> = HashMap::new();
+    let mut conn = Conn {
+        sessions: HashMap::new(),
+        sink,
+        closes: 0,
+    };
     let mut reader = FrameReader::new();
     let mut buf = vec![0u8; 16 * 1024];
     let mut out = BytesMut::new();
@@ -734,7 +687,8 @@ fn serve_wire_conn(shared: Arc<Shared>, stream: TcpStream) {
                     break 'conn;
                 }
             };
-            match handle_frame(&shared, frame, &mut sessions, &tx, &mut out) {
+            let is_open = matches!(frame, Frame::Open { .. });
+            match handle_frame(&shared, frame, &mut conn, &mut out) {
                 FrameOutcome::Continue => {}
                 FrameOutcome::Goodbye => {
                     graceful = true;
@@ -745,22 +699,29 @@ fn serve_wire_conn(shared: Arc<Shared>, stream: TcpStream) {
                     break 'conn;
                 }
             }
+            if is_open {
+                // The pump answers a point tens of microseconds after it
+                // is submitted: send `Opened` before the session's first
+                // submit is even looked at, so it precedes every label.
+                write_frames(&writer, &mut out);
+            }
         }
         write_frames(&writer, &mut out);
     }
 
     // Close every session still open on this connection so engine state
     // and tenant quotas never leak, whatever way the connection ended.
-    for (cid, (sid, tenant)) in sessions.drain() {
-        match shared.retry.run(cid, || shared.handle.close(sid)) {
-            Ok(ticket) => {
-                let _ = tx.send(PumpCmd::Close { cid, ticket });
-            }
-            Err(_) => shared.tenants.release(tenant),
-        }
+    for (cid, (sid, tenant)) in std::mem::take(&mut conn.sessions) {
+        let _ = conn.close(&shared, cid, sid, tenant);
     }
-    let _ = tx.send(PumpCmd::Done { bye: graceful });
+    let _ = hangup.set(conn.closes);
+    conn.sink.wake();
+    drop(conn);
     let _ = pump.join();
+    if graceful {
+        encode_frame(&Frame::Bye, &mut out);
+        write_frames(&writer, &mut out);
+    }
     let _ = stream.shutdown(Shutdown::Both);
 }
 
@@ -776,8 +737,7 @@ enum FrameOutcome {
 fn handle_frame(
     shared: &Shared,
     frame: Frame,
-    sessions: &mut HashMap<u64, (SessionId, u32)>,
-    tx: &Sender<PumpCmd>,
+    conn: &mut Conn,
     out: &mut BytesMut,
 ) -> FrameOutcome {
     match frame {
@@ -800,7 +760,7 @@ fn handle_frame(
                 );
                 shared.count_wire_error(error);
             };
-            if sessions.contains_key(&cid) {
+            if conn.sessions.contains_key(&cid) {
                 reject(out, WireError::DuplicateSession);
                 return FrameOutcome::Continue;
             }
@@ -814,15 +774,9 @@ fn handle_frame(
                 reject(out, WireError::Malformed);
                 return FrameOutcome::Continue;
             }
-            let epoch_seq = match shared.tenants.admit(tenant) {
-                Ok(seq) => seq,
+            let (epoch_seq, opens) = match shared.tenants.admit(tenant) {
+                Ok(admitted) => admitted,
                 Err(e) => {
-                    if e == WireError::QuotaExhausted {
-                        shared
-                            .obs
-                            .counter(names::SERVE_QUOTA_SHED, &[("tenant", &tenant.to_string())])
-                            .inc();
-                    }
                     reject(out, e);
                     return FrameOutcome::Continue;
                 }
@@ -839,16 +793,14 @@ fn handle_frame(
             // Retry QueueFull under the server policy (salted by cid);
             // Degraded/ShutDown are surfaced immediately.
             let opened = shared.retry.run(cid, || {
-                shared.handle.open_scoped(tenant, sd, start_time, prio)
+                shared
+                    .handle
+                    .open_onto(&conn.sink, cid, tenant, sd, start_time, prio)
             });
             match opened {
-                Ok((sid, sub)) => {
-                    sessions.insert(cid, (sid, tenant));
-                    let _ = tx.send(PumpCmd::Add { cid, tenant, sub });
-                    shared
-                        .obs
-                        .counter(names::SERVE_OPENS, &[("tenant", &tenant.to_string())])
-                        .inc();
+                Ok(sid) => {
+                    conn.sessions.insert(cid, (sid, tenant));
+                    opens.inc();
                     encode_frame(
                         &Frame::Opened {
                             session: cid,
@@ -869,7 +821,7 @@ fn handle_frame(
             segment,
         } => {
             shared.metrics.frames_submit.inc();
-            let Some(&(sid, _)) = sessions.get(&cid) else {
+            let Some(&(sid, _)) = conn.sessions.get(&cid) else {
                 encode_frame(
                     &Frame::Rejected {
                         session: cid,
@@ -901,7 +853,7 @@ fn handle_frame(
         }
         Frame::Close { session: cid } => {
             shared.metrics.frames_close.inc();
-            let Some((sid, tenant)) = sessions.remove(&cid) else {
+            let Some((sid, tenant)) = conn.sessions.remove(&cid) else {
                 encode_frame(
                     &Frame::Rejected {
                         session: cid,
@@ -912,25 +864,16 @@ fn handle_frame(
                 shared.count_wire_error(WireError::UnknownSession);
                 return FrameOutcome::Continue;
             };
-            // Closes retry `QueueFull` like submits do: a close racing a
-            // full shard queue must not leak the session (and strand its
-            // undelivered tail labels) just because the queue was busy.
-            match shared.retry.run(cid, || shared.handle.close(sid)) {
-                Ok(ticket) => {
-                    let _ = tx.send(PumpCmd::Close { cid, ticket });
-                }
-                Err(e) => {
-                    shared.tenants.release(tenant);
-                    let error = WireError::from(e);
-                    encode_frame(
-                        &Frame::Rejected {
-                            session: cid,
-                            error,
-                        },
-                        out,
-                    );
-                    shared.count_wire_error(error);
-                }
+            if let Err(e) = conn.close(shared, cid, sid, tenant) {
+                let error = WireError::from(e);
+                encode_frame(
+                    &Frame::Rejected {
+                        session: cid,
+                        error,
+                    },
+                    out,
+                );
+                shared.count_wire_error(error);
             }
             FrameOutcome::Continue
         }

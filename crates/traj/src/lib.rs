@@ -25,8 +25,9 @@
 //! sessions onto independent shards, and [`session::SingleSession`]
 //! adapting an engine back to a detector. [`ingest::IngestFrontDoor`]
 //! is the asynchronous entry point over any of these: per-shard bounded
-//! ingress queues and persistent worker threads micro-batch independent
-//! per-point arrivals into `observe_batch` ticks under a latency SLO,
+//! ingress queues and persistent worker threads group-commit independent
+//! per-point arrivals into `observe_batch` ticks and push the labels into
+//! bounded, push-woken [`sink::LabelSink`]s,
 //! with typed [`ingest::IngestHandle::control`] commands (e.g. model
 //! hot-swaps) applied at flush boundaries.
 //!
@@ -45,6 +46,7 @@ pub mod hibernate;
 pub mod ingest;
 pub mod labels;
 pub mod session;
+pub mod sink;
 pub mod types;
 
 pub use dataset::{Dataset, DatasetStats};
@@ -60,6 +62,7 @@ pub use labels::{extract_subtrajectories, LabelSpan};
 pub use session::{
     SessionEngine, SessionId, SessionMux, SessionSlab, Sharded, SingleSession, SupervisedEngine,
 };
+pub use sink::{LabelSink, SinkConsumer, SinkEvent};
 pub use types::{
     slot_of_time, GpsPoint, MappedTrajectory, RawTrajectory, SdPair, TrajectoryId, Transition,
     HOURS_PER_DAY, SECONDS_PER_DAY,

@@ -9,9 +9,9 @@
 //! [`traj::IngestHandle`] into an [`rl4oasd::IngestEngine`] — one
 //! `StreamEngine` shard per available core behind one shared trained
 //! model, each shard owned by a persistent worker thread that
-//! micro-batches arrivals into batched LSTM ticks under a
-//! [`traj::FlushPolicy`] latency SLO (flush at 64 events or 2 ms,
-//! whichever first). Labels stream back on per-session subscriptions: the
+//! group-commits arrivals into batched LSTM ticks ([`traj::FlushPolicy`]:
+//! whatever is queued, up to 64 events, flushed the moment the queue is
+//! empty). Labels stream back on per-session subscriptions: the
 //! producer raises a deviation alert the moment the first anomalous label
 //! arrives, while the trip is still in progress. Labels are bit-identical
 //! to running each trip alone through `Rl4oasdDetector`, whatever the
@@ -22,7 +22,7 @@
 use rl4oasd_repro::prelude::*;
 use rnet::{CityBuilder, CityConfig};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// One producer thread: feeds its slice of the fleet point-by-point,
 /// watching subscriptions for the first anomalous label of each trip.
@@ -88,8 +88,8 @@ fn produce(
     }
 
     // Every point is submitted, but the last micro-batches may still be in
-    // flight: wait out the remaining labels (the flush SLO bounds the wait)
-    // so no live alert is lost, then close.
+    // flight: wait out the remaining labels (a worker flushes as soon as
+    // its queue is empty) so no live alert is lost, then close.
     lanes
         .into_iter()
         .map(|mut lane| {
@@ -154,7 +154,7 @@ fn main() {
         Arc::new(net),
         shards,
         IngestConfig {
-            flush: FlushPolicy::new(64, Duration::from_millis(2)),
+            flush: FlushPolicy::new(64),
             ..Default::default()
         },
     );

@@ -11,7 +11,25 @@
 #![allow(dead_code)]
 
 use rl4oasd_repro::prelude::*;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+
+/// Parks every shard worker behind `handle` inside a control command
+/// until the returned gate is set: whatever is enqueued meanwhile is all
+/// sitting in the ingress queues when the workers resume. (The door has
+/// no timer to out-wait, so this is how a test keeps events pending.)
+pub fn hold_workers<E: SessionEngine + 'static>(handle: &IngestHandle<E>) -> Arc<AtomicBool> {
+    let gate = Arc::new(AtomicBool::new(false));
+    let hold = Arc::clone(&gate);
+    handle
+        .control(move |_engine: &mut E| {
+            while !hold.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+        })
+        .expect("door is open");
+    gate
+}
 
 /// Which synthetic city a fixture is built on. Test suites default to the
 /// Chengdu-like grid; the scenario suite sweeps both.

@@ -112,7 +112,7 @@ proptest! {
         let fx = fixture();
         let trace = drill_trace(fx, seed ^ 0xD811, 32);
         let plan = FaultPlan::seeded(seed, trace.ticks.len() as u32);
-        let flush = FlushPolicy::new(4, Duration::from_micros(200));
+        let flush = FlushPolicy::new(4);
         for shards in [1usize, 2, 8] {
             let reference = baseline(fx, &trace, shards, flush);
             let out = runner(fx).run_supervised(&trace, shards, flush, 256, &plan);
@@ -146,7 +146,7 @@ fn worker_panic_salvages_every_session_byte_identically() {
     let plan = FaultPlan {
         faults: vec![Fault::WorkerPanic { at_tick: 5 }],
     };
-    let flush = FlushPolicy::new(4, Duration::from_micros(200));
+    let flush = FlushPolicy::new(4);
     for shards in [1usize, 2, 8] {
         let reference = baseline(fx, &trace, shards, flush);
         let out = runner(fx).run_supervised(&trace, shards, flush, 256, &plan);
@@ -206,7 +206,7 @@ fn stalls_and_slowdowns_lose_nothing() {
             },
         ],
     };
-    let flush = FlushPolicy::new(4, Duration::from_micros(200));
+    let flush = FlushPolicy::new(4);
     let reference = baseline(fx, &trace, 2, flush);
     // A tiny queue so the stall genuinely backs up the producer.
     let out = runner(fx).run_supervised(&trace, 2, flush, 4, &plan);

@@ -19,7 +19,6 @@
 use proptest::prelude::*;
 use rl4oasd_repro::prelude::*;
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
 
 mod common;
 use common::{interleaved, trained_fixture, CityKind, EngineFixture};
@@ -121,7 +120,7 @@ proptest! {
         for shards in SHARD_COUNTS {
             for policy in [
                 FlushPolicy::immediate(),
-                FlushPolicy::new(4, Duration::from_micros(200)),
+                FlushPolicy::new(4),
             ] {
                 let engine = IngestEngine::with_hibernation(
                     Arc::clone(&fx.model),

@@ -18,7 +18,6 @@ use proptest::prelude::*;
 use rl4oasd::{IngestEngine, SwapModel};
 use rl4oasd_repro::prelude::*;
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
 
 mod common;
 use common::{trained_fixture, CityKind};
@@ -226,7 +225,7 @@ proptest! {
         for shards in SHARD_COUNTS {
             for policy in [
                 FlushPolicy::immediate(),
-                FlushPolicy::new(4, Duration::from_micros(200)),
+                FlushPolicy::new(4),
             ] {
                 let engine = IngestEngine::new(
                     Arc::clone(&fx.v1),

@@ -14,11 +14,12 @@
 use proptest::prelude::*;
 use rl4oasd::IngestEngine;
 use rl4oasd_repro::prelude::*;
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 mod common;
-use common::{interleaved, trained_fixture, CityKind, EngineFixture};
+use common::{hold_workers, interleaved, trained_fixture, CityKind, EngineFixture};
 
 /// One shared trained fixture for every test in this file (training is the
 /// expensive part; the properties only exercise serving).
@@ -31,12 +32,13 @@ fn fixture() -> &'static EngineFixture {
 const SHARD_COUNTS: [usize; 3] = [1, 2, 8];
 
 /// The flush-policy corners the properties sweep: one-event flushes, a
-/// tiny batch bound, a delay-bound-only policy, and the default.
+/// tiny batch bound, no effective bound (only an empty queue flushes),
+/// and the default.
 fn policies() -> [FlushPolicy; 4] {
     [
         FlushPolicy::immediate(),
-        FlushPolicy::new(3, Duration::from_secs(3600)),
-        FlushPolicy::new(1_000_000, Duration::from_micros(100)),
+        FlushPolicy::new(3),
+        FlushPolicy::new(1_000_000),
         FlushPolicy::default(),
     ]
 }
@@ -171,7 +173,7 @@ proptest! {
                 0.5,
                 shards,
                 IngestConfig {
-                    flush: FlushPolicy::new(4, Duration::from_micros(100)),
+                    flush: FlushPolicy::new(4),
                     ..Default::default()
                 },
             );
@@ -186,8 +188,9 @@ proptest! {
 }
 
 /// Graceful shutdown flushes and delivers every event accepted before the
-/// call — even with a policy that would never flush on its own — and the
-/// still-open sessions survive inside the returned engines.
+/// door was sealed — here all of them still sit unprocessed in the queues
+/// at that moment — and the still-open sessions survive inside the
+/// returned engines.
 #[test]
 fn shutdown_drains_every_accepted_event() {
     let fx = fixture();
@@ -197,11 +200,14 @@ fn shutdown_drains_every_accepted_event() {
         Arc::clone(&fx.net),
         2,
         IngestConfig {
-            flush: FlushPolicy::new(1_000_000, Duration::from_secs(3600)),
+            // Room for whatever the sealing probe below gets accepted
+            // (at most a queue's worth) on top of the scripted events.
+            outbox_capacity: 4096,
             ..Default::default()
         },
     );
     let handle = engine.handle();
+    let gate = hold_workers(&handle);
     let opened: Vec<_> = trajs
         .iter()
         .map(|t| handle.open(t.sd_pair().unwrap(), t.start_time).unwrap())
@@ -209,17 +215,29 @@ fn shutdown_drains_every_accepted_event() {
     let mut submitted = 0u64;
     for (k, t) in trajs.iter().enumerate() {
         for &seg in t.segments.iter().take(5) {
-            while handle.submit(opened[k].0, seg) == Err(SubmitError::QueueFull) {
-                std::thread::yield_now();
-            }
+            handle.submit(opened[k].0, seg).unwrap();
             submitted += 1;
         }
     }
-    let report = engine.shutdown();
+    let shutdown = std::thread::spawn(move || engine.shutdown());
+    // Release the workers only once the door is sealed, so that nothing
+    // was flushed before the shutdown began. The probe is a real submit:
+    // whatever it gets accepted meanwhile must be drained like the rest.
+    loop {
+        match handle.submit(opened[0].0, trajs[0].segments[0]) {
+            Ok(()) => submitted += 1,
+            Err(SubmitError::QueueFull) => {}
+            Err(SubmitError::ShutDown) => break,
+            Err(e) => panic!("unexpected submit error: {e}"),
+        }
+        std::thread::yield_now();
+    }
+    gate.store(true, Ordering::SeqCst);
+    let report = shutdown.join().unwrap();
     assert_eq!(report.ingest.submitted, submitted);
     assert_eq!(
         report.ingest.flushed_events, submitted,
-        "shutdown must flush the never-flushed batches"
+        "shutdown must flush what was still queued"
     );
     assert_eq!(report.ingest.latency.count(), submitted);
     // Every accepted event's label is deliverable after shutdown returns.
@@ -364,7 +382,8 @@ fn full_queue_reports_queue_full_and_loses_nothing() {
 }
 
 /// `close` flushes the session's pending events first: final labels cover
-/// every accepted event even when the batch never filled.
+/// every accepted event even when they were all still queued, unflushed,
+/// when the close was issued.
 #[test]
 fn close_flushes_pending_events_first() {
     let fx = fixture();
@@ -374,18 +393,79 @@ fn close_flushes_pending_events_first() {
         Arc::clone(&fx.net),
         1,
         IngestConfig {
-            flush: FlushPolicy::new(1_000_000, Duration::from_secs(3600)),
+            flush: FlushPolicy::new(1_000_000),
             ..Default::default()
         },
     );
     let handle = engine.handle();
+    let gate = hold_workers(&handle);
     let (session, _sub) = handle.open(t.sd_pair().unwrap(), t.start_time).unwrap();
     for &seg in &t.segments {
-        while handle.submit(session, seg) == Err(SubmitError::QueueFull) {
-            std::thread::yield_now();
+        handle.submit(session, seg).unwrap();
+    }
+    let ticket = handle.close(session).unwrap();
+    gate.store(true, Ordering::SeqCst);
+    let finals = ticket.wait().unwrap();
+    assert_eq!(finals.len(), t.len());
+    let report = engine.shutdown();
+    assert_eq!(report.ingest.flushes, 1, "the close forced the one flush");
+}
+
+/// A backlog becomes one large flush, not many small ones: with the
+/// worker held, N events over several sessions pile up in the queue; on
+/// release the worker takes all that is queued and commits it as a single
+/// `observe_batch` tick — with labels byte-identical to the sync drive.
+#[test]
+fn backlog_is_committed_as_one_flush() {
+    let fx = fixture();
+    let per_session = 8usize;
+    let trajs: Vec<&MappedTrajectory> = fx
+        .trajs
+        .iter()
+        .filter(|t| t.len() >= per_session)
+        .take(5)
+        .collect();
+    let total = trajs.len() * per_session;
+    assert!((2..=FlushPolicy::default().max_batch).contains(&total));
+    let mut single = StreamEngine::new(Arc::clone(&fx.model), Arc::clone(&fx.net));
+    let expected: Vec<Vec<u8>> = trajs
+        .iter()
+        .map(|t| {
+            let h = single.open(t.sd_pair().unwrap(), t.start_time);
+            let labels = t.segments[..per_session]
+                .iter()
+                .map(|&s| single.observe(h, s))
+                .collect();
+            single.close(h);
+            labels
+        })
+        .collect();
+
+    let engine = IngestEngine::new(
+        Arc::clone(&fx.model),
+        Arc::clone(&fx.net),
+        1,
+        IngestConfig::default(),
+    );
+    let handle = engine.handle();
+    let gate = hold_workers(&handle);
+    let opened: Vec<_> = trajs
+        .iter()
+        .map(|t| handle.open(t.sd_pair().unwrap(), t.start_time).unwrap())
+        .collect();
+    for step in 0..per_session {
+        for (k, t) in trajs.iter().enumerate() {
+            handle.submit(opened[k].0, t.segments[step]).unwrap();
         }
     }
-    let finals = handle.close(session).unwrap().wait().unwrap();
-    assert_eq!(finals.len(), t.len());
-    engine.shutdown();
+    gate.store(true, Ordering::SeqCst);
+    let streams: Vec<Vec<u8>> = opened
+        .iter()
+        .map(|(_, sub)| (0..per_session).map(|_| sub.recv().unwrap()).collect())
+        .collect();
+    assert_eq!(streams, expected);
+    let report = engine.shutdown();
+    assert_eq!(report.ingest.flushed_events, total as u64);
+    assert_eq!(report.ingest.flushes, 1, "one flush for the whole backlog");
+    assert_eq!(report.ingest.max_flush_batch, total);
 }

@@ -20,7 +20,6 @@ use obs::{names, Snapshot};
 use proptest::prelude::*;
 use rl4oasd_repro::prelude::*;
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
 
 mod common;
 use common::{interleaved, trained_fixture, CityKind, EngineFixture};
@@ -126,7 +125,7 @@ proptest! {
                     Arc::clone(&fx.net),
                     shards,
                     IngestConfig {
-                        flush: FlushPolicy::new(4, Duration::from_micros(200)),
+                        flush: FlushPolicy::new(4),
                         obs: obs.clone(),
                         ..Default::default()
                     },
@@ -202,6 +201,118 @@ proptest! {
             );
         }
     }
+}
+
+/// One connection streams `trajs` as concurrent sessions through an
+/// `oasd-serve` built on `obs`, returning every session's streamed and
+/// final labels plus the server's shutdown report.
+fn wire_run(obs: Obs, trajs: &[MappedTrajectory]) -> (Vec<Vec<u8>>, Vec<Vec<u8>>, IngestReport) {
+    let fx = fixture();
+    let server = Server::start(
+        Arc::clone(&fx.model),
+        Arc::clone(&fx.net),
+        ServerConfig {
+            shards: 1,
+            ingest: IngestConfig {
+                obs,
+                ..IngestConfig::default()
+            },
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind loopback listeners");
+    let mut client = Client::connect(server.wire_addr()).expect("connect");
+    let mut streamed = vec![Vec::new(); trajs.len()];
+    let mut finals = vec![Vec::new(); trajs.len()];
+    let mut closed = 0;
+    let mut take = |frame: Frame, closed: &mut usize| match frame {
+        Frame::Opened { .. } => {}
+        Frame::Label { session, label } => streamed[session as usize].push(label),
+        Frame::Closed { session, labels } => {
+            finals[session as usize] = labels;
+            *closed += 1;
+        }
+        other => panic!("unexpected frame: {other:?}"),
+    };
+    for (cid, t) in trajs.iter().enumerate() {
+        let sd = t.sd_pair().unwrap();
+        client
+            .send(&Frame::Open {
+                session: cid as u64,
+                tenant: 0,
+                source: sd.source.0,
+                dest: sd.dest.0,
+                start_time: t.start_time,
+                priority: 0,
+            })
+            .expect("open");
+    }
+    let longest = trajs.iter().map(|t| t.len()).max().unwrap_or(0);
+    for step in 0..longest {
+        for (cid, t) in trajs.iter().enumerate() {
+            if let Some(seg) = t.segments.get(step) {
+                client
+                    .send(&Frame::Submit {
+                        session: cid as u64,
+                        segment: seg.0,
+                    })
+                    .expect("submit");
+            }
+        }
+        while let Some(frame) = client.try_recv().expect("drain") {
+            take(frame, &mut closed);
+        }
+    }
+    for cid in 0..trajs.len() {
+        client
+            .send(&Frame::Close {
+                session: cid as u64,
+            })
+            .expect("close");
+    }
+    while closed < trajs.len() {
+        take(client.recv().expect("close results"), &mut closed);
+    }
+    drop(client);
+    (streamed, finals, server.shutdown())
+}
+
+/// Invariant 14 over the wire: the pump's telemetry (`pump_wakeups`,
+/// `label_frames`, the `pump_write` stage) changes no label, costs
+/// nothing when off, and when on accounts for every label frame — with
+/// at most one pump wake-up per flush, close result or hang-up.
+#[test]
+fn serve_pump_telemetry_is_inert_and_faithful() {
+    let trajs = &fixture().trajs[..6];
+    let total: u64 = trajs.iter().map(|t| t.len() as u64).sum();
+    let (streamed_off, finals_off, report_off) = wire_run(Obs::disabled(), trajs);
+    assert!(report_off.obs.is_empty(), "disabled obs recorded something");
+    let (streamed_on, finals_on, report_on) = wire_run(Obs::new(ObsConfig::enabled()), trajs);
+    assert_eq!(
+        streamed_on, streamed_off,
+        "telemetry changed streamed labels"
+    );
+    assert_eq!(finals_on, finals_off, "telemetry changed final labels");
+    assert_eq!(streamed_on, finals_on, "every label was streamed");
+
+    let snap = &report_on.obs;
+    assert_eq!(counter_sum(snap, names::SERVE_LABEL_FRAMES), total);
+    let wakeups = counter_sum(snap, names::SERVE_PUMP_WAKEUPS);
+    assert_eq!(
+        hist_count(snap, names::STAGE_NANOS, ("stage", "pump_write")),
+        wakeups,
+        "one pump_write span per wake-up"
+    );
+    assert!(wakeups >= 1);
+    // One connection: a flush is one push into its sink, so the pump
+    // comes back at most once per flush, per close result and for the
+    // hang-up — never on a timer.
+    let bound = report_on.ingest.flushes + trajs.len() as u64 + 1;
+    assert!(
+        wakeups <= bound,
+        "{wakeups} pump wake-ups for {} flushes",
+        report_on.ingest.flushes
+    );
 }
 
 /// The ops-event ring wraps loss-aware: a tailer that fell behind learns

@@ -264,6 +264,78 @@ fn shutdown_drains_abandoned_sessions() {
     );
 }
 
+/// The label path is event-driven end to end: a live connection with
+/// open sessions and nothing in flight costs **zero** pump wake-ups — the
+/// pump blocks on its sink with no timer — and the next point wakes it.
+#[test]
+fn idle_connection_never_wakes_its_pump() {
+    let fx = fixture();
+    let server = loopback_server(fx, 1, Vec::new());
+    let pump_wakeups = || -> u64 {
+        (server.obs().snapshot().counters.iter())
+            .filter(|c| c.name == obs::names::SERVE_PUMP_WAKEUPS)
+            .map(|c| c.value)
+            .sum()
+    };
+    let traj = &fx.trajs[0];
+    let sd = traj.sd_pair().unwrap();
+    let mut client = Client::connect(server.wire_addr()).expect("connect");
+    const SESSIONS: u64 = 3;
+    for cid in 0..SESSIONS {
+        client
+            .send(&Frame::Open {
+                session: cid,
+                tenant: 0,
+                source: sd.source.0,
+                dest: sd.dest.0,
+                start_time: traj.start_time,
+                priority: 0,
+            })
+            .expect("open");
+        for &seg in &traj.segments[..2] {
+            client
+                .send(&Frame::Submit {
+                    session: cid,
+                    segment: seg.0,
+                })
+                .expect("submit");
+        }
+    }
+    // Everything sent has been answered once these frames are in: the
+    // pump counted its last wake-up before it wrote the last label.
+    // (Pipelined as they were, each session's `Opened` — the reader's
+    // frame — still precedes its labels — the pump's.)
+    let (mut opened, mut labels) = (Vec::new(), 0);
+    while opened.len() < SESSIONS as usize || labels < 2 * SESSIONS {
+        match client.recv().expect("answer") {
+            Frame::Opened { session, .. } => opened.push(session),
+            Frame::Label { session, .. } => {
+                assert!(opened.contains(&session), "label before Opened");
+                labels += 1;
+            }
+            other => panic!("unexpected frame: {other:?}"),
+        }
+    }
+    let before = pump_wakeups();
+    assert!(before >= 1, "labels were delivered by pump wake-ups");
+    std::thread::sleep(Duration::from_millis(300));
+    assert_eq!(pump_wakeups(), before, "an idle pump must stay asleep");
+    // Still live: one more point is labelled, by one more wake-up.
+    client
+        .send(&Frame::Submit {
+            session: 0,
+            segment: traj.segments[2].0,
+        })
+        .expect("submit");
+    assert!(matches!(
+        client.recv().expect("label"),
+        Frame::Label { session: 0, .. }
+    ));
+    assert_eq!(pump_wakeups(), before + 1);
+    drop(client);
+    server.shutdown();
+}
+
 /// Per-tenant quotas shed exactly the exhausted tenant's opens; closing
 /// a session returns its quota slot.
 #[test]
