@@ -71,21 +71,18 @@ impl AsdNet {
         Self::probs_from_logits([logits[0], logits[1]])
     }
 
-    /// Action probabilities from the policy head's raw logits. Shared by
-    /// the scalar path and the engine's batched head pass so both make
-    /// bit-identical decisions.
+    /// Action probabilities from the policy head's raw logits.
     pub fn probs_from_logits(logits: [f32; 2]) -> [f32; 2] {
-        let m = logits[0].max(logits[1]);
-        let e0 = (logits[0] - m).exp();
-        let e1 = (logits[1] - m).exp();
-        let s = e0 + e1;
-        [e0 / s, e1 / s]
+        ops::softmax2(logits)
     }
 
-    /// Greedy action from raw logits (see [`AsdNet::probs_from_logits`]).
+    /// Greedy action from raw logits: the larger logit wins (softmax is
+    /// monotone, so no `exp` is needed to take its argmax). Shared by the
+    /// scalar path and the engine's batched head pass — for both heads,
+    /// ASDNet's policy and the w/o-ASDNet RSRNet classifier — so every
+    /// path makes bit-identical decisions.
     pub fn greedy_from_logits(logits: [f32; 2]) -> u8 {
-        let p = Self::probs_from_logits(logits);
-        u8::from(p[1] > p[0])
+        u8::from(logits[1] > logits[0])
     }
 
     /// Samples an action from the stochastic policy.
@@ -127,11 +124,7 @@ impl AsdNet {
         let label_dim = self.label_embed.dim();
         for step in steps {
             let (logits, ctx) = self.policy.forward(&step.state);
-            let mut p = [logits[0], logits[1]];
-            let m = p[0].max(p[1]);
-            let s = (p[0] - m).exp() + (p[1] - m).exp();
-            p[0] = (p[0] - m).exp() / s;
-            p[1] = (p[1] - m).exp() / s;
+            let p = ops::softmax2([logits[0], logits[1]]);
             // d(-R ln π(a|s)) / dlogits = R * (π - onehot(a))
             let mut dlogits = [advantage * p[0], advantage * p[1]];
             dlogits[step.action as usize] -= advantage;
@@ -168,11 +161,7 @@ impl AsdNet {
         let mut loss = 0.0f32;
         for step in steps {
             let (logits, ctx) = self.policy.forward(&step.state);
-            let m = logits[0].max(logits[1]);
-            let e0 = (logits[0] - m).exp();
-            let e1 = (logits[1] - m).exp();
-            let s = e0 + e1;
-            let p = [e0 / s, e1 / s];
+            let p = ops::softmax2([logits[0], logits[1]]);
             loss -= p[step.action as usize].max(1e-12).ln() * scale;
             let mut dlogits = [p[0] * scale, p[1] * scale];
             dlogits[step.action as usize] -= scale;

@@ -153,14 +153,12 @@ impl SessionState {
             state_buf.clear();
             self.append_policy_state(view, z, state_buf);
             view.packed.policy.infer(state_buf, &mut logits);
-            AsdNet::greedy_from_logits(logits)
         } else {
             // Ablation "w/o ASDNet": an ordinary classifier on RSRNet
             // outputs.
             view.packed.head.infer(z, &mut logits);
-            let p = RsrNet::classify_from_logits(logits);
-            u8::from(p[1] > p[0])
         }
+        AsdNet::greedy_from_logits(logits)
     }
 
     /// Appends the policy-head input `s_i = [z_i ; v(prev_label)]` to

@@ -40,6 +40,15 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use traj::{Hibernate, SdPair, SessionEngine, SessionId, SessionSlab, SupervisedEngine};
 
+/// Lanes a batched round advances together. The round's gather, gate and
+/// head buffers are sized by this, not by the round — a loaded door's
+/// round is its whole flush, an `observe_batch` over a fleet thousands of
+/// sessions — so they stay cache-resident and the engine's scratch does not
+/// grow with the batch. 16 lanes already reuse each gate-matrix load as
+/// well as 256 do. Labels cannot depend on it: every lane is bit-identical
+/// to the scalar path.
+const ROUND_BLOCK: usize = 16;
+
 /// Serving statistics (cumulative counters since construction, plus
 /// point-in-time memory-tier gauges sampled at [`StreamEngine::stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -52,7 +61,8 @@ pub struct EngineStats {
     pub observe_events: u64,
     /// Events advanced through the batched nn pass.
     pub batched_events: u64,
-    /// Batched rounds executed (each is one LSTM matrix pass).
+    /// Batched rounds executed (each is one LSTM matrix pass per 16
+    /// lanes).
     pub batched_rounds: u64,
     /// Events advanced through the scalar path (single-session ticks).
     pub scalar_events: u64,
@@ -767,7 +777,8 @@ impl StreamEngine {
 
     /// Advances one round of events whose sessions are pairwise distinct
     /// and share the model epoch `epoch`, using the batched LSTM and
-    /// policy-head kernels of that epoch's packed weights.
+    /// policy-head kernels of that epoch's packed weights, [`ROUND_BLOCK`]
+    /// lanes at a time.
     fn observe_round(&mut self, events: &[(SessionId, SegmentId)], out: &mut [u8], epoch: u32) {
         let round = std::mem::take(&mut self.scratch.round);
         let batch = round.len();
@@ -780,110 +791,107 @@ impl StreamEngine {
             &self.net,
         );
 
-        // Phase 1: move the round's sessions out of the slab, resolve the
-        // pre-nn plan (endpoint pinning, RNEL) and gather the nn inputs.
         let mut lanes = std::mem::take(&mut self.scratch.lanes);
-        lanes.clear();
-        self.scratch.inputs.clear();
-        for &ei in &round {
-            let (session, segment) = events[ei as usize];
-            let entry = self.sessions.take(session);
-            debug_assert_eq!(entry.epoch, epoch, "round mixes model epochs");
-            let state = entry.state;
-            let (nrf, is_endpoint) = state.pre_step(&view, segment);
-            let pending = state.plan(&view, segment, is_endpoint, &mut self.counters);
-            self.scratch.inputs.push((segment, nrf));
-            lanes.push((ei, segment, state, pending));
-        }
-
-        // Phase 2: one batched LSTM pass (on the packed gate matrix)
-        // advances every lane's stream.
-        {
-            let mut streams: Vec<&mut crate::rsrnet::RsrStream> = lanes
-                .iter_mut()
-                .map(|(_, _, state, _)| state.stream_mut())
-                .collect();
-            view.rsrnet.stream_step_batch_packed(
-                &view.packed.lstm,
-                &mut self.scratch.rsr,
-                &self.scratch.inputs,
-                &mut streams,
-                &mut self.scratch.zs,
-            );
-        }
-
-        // Phase 3: one batched head pass for the lanes whose label was not
-        // fixed by endpoint pinning or RNEL.
-        let z_dim = view.rsrnet.z_dim();
-        self.scratch.policy_lanes.clear();
-        self.scratch.policy_lanes.extend(
-            lanes
-                .iter()
-                .enumerate()
-                .filter(|(_, (_, _, _, pending))| *pending == Pending::Policy)
-                .map(|(lane, _)| lane),
-        );
-        if !self.scratch.policy_lanes.is_empty() {
-            self.scratch.head_in.clear();
-            let head = if view.config.use_asdnet {
-                for &lane in &self.scratch.policy_lanes {
-                    let z = &self.scratch.zs[lane * z_dim..(lane + 1) * z_dim];
-                    lanes[lane]
-                        .2
-                        .append_policy_state(&view, z, &mut self.scratch.head_in);
-                }
-                &view.packed.policy
-            } else {
-                for &lane in &self.scratch.policy_lanes {
-                    self.scratch
-                        .head_in
-                        .extend_from_slice(&self.scratch.zs[lane * z_dim..(lane + 1) * z_dim]);
-                }
-                &view.packed.head
-            };
-            self.scratch.head_out.clear();
-            self.scratch
-                .head_out
-                .resize(self.scratch.policy_lanes.len() * 2, 0.0);
-            head.infer_batch(
-                &self.scratch.head_in,
-                self.scratch.policy_lanes.len(),
-                &mut self.scratch.head_out,
-            );
-            for (k, &lane) in self.scratch.policy_lanes.iter().enumerate() {
-                let logits = [
-                    self.scratch.head_out[2 * k],
-                    self.scratch.head_out[2 * k + 1],
-                ];
-                let label = if view.config.use_asdnet {
-                    crate::asdnet::AsdNet::greedy_from_logits(logits)
-                } else {
-                    let p = crate::rsrnet::RsrNet::classify_from_logits(logits);
-                    u8::from(p[1] > p[0])
-                };
-                lanes[lane].3 = Pending::Fixed(label);
-            }
-        }
-
-        // Phase 4: commit labels and return the sessions to the slab.
         let mut alerts = 0u64;
-        for (ei, segment, mut state, pending) in lanes.drain(..) {
-            let (session, _) = events[ei as usize];
-            let label = match pending {
-                Pending::Fixed(label) => label,
-                Pending::Policy => unreachable!("all policy lanes decided in phase 3"),
-            };
-            state.commit(segment, label);
-            out[ei as usize] = label;
-            alerts += u64::from(label != 0);
-            self.sessions.restore(
-                session,
-                SessionEntry {
-                    epoch,
-                    last_tick: self.tick,
-                    state,
-                },
+        for block in round.chunks(ROUND_BLOCK) {
+            // Phase 1: move the block's sessions out of the slab, resolve the
+            // pre-nn plan (endpoint pinning, RNEL) and gather the nn inputs.
+            lanes.clear();
+            self.scratch.inputs.clear();
+            for &ei in block {
+                let (session, segment) = events[ei as usize];
+                let entry = self.sessions.take(session);
+                debug_assert_eq!(entry.epoch, epoch, "round mixes model epochs");
+                let state = entry.state;
+                let (nrf, is_endpoint) = state.pre_step(&view, segment);
+                let pending = state.plan(&view, segment, is_endpoint, &mut self.counters);
+                self.scratch.inputs.push((segment, nrf));
+                lanes.push((ei, segment, state, pending));
+            }
+
+            // Phase 2: one batched LSTM pass (on the packed gate matrix)
+            // advances every lane's stream.
+            {
+                let mut streams: Vec<&mut crate::rsrnet::RsrStream> = lanes
+                    .iter_mut()
+                    .map(|(_, _, state, _)| state.stream_mut())
+                    .collect();
+                view.rsrnet.stream_step_batch_packed(
+                    &view.packed.lstm,
+                    &mut self.scratch.rsr,
+                    &self.scratch.inputs,
+                    &mut streams,
+                    &mut self.scratch.zs,
+                );
+            }
+
+            // Phase 3: one batched head pass for the block's lanes whose label was not
+            // fixed by endpoint pinning or RNEL.
+            let z_dim = view.rsrnet.z_dim();
+            self.scratch.policy_lanes.clear();
+            self.scratch.policy_lanes.extend(
+                lanes
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, (_, _, _, pending))| *pending == Pending::Policy)
+                    .map(|(lane, _)| lane),
             );
+            if !self.scratch.policy_lanes.is_empty() {
+                self.scratch.head_in.clear();
+                let head = if view.config.use_asdnet {
+                    for &lane in &self.scratch.policy_lanes {
+                        let z = &self.scratch.zs[lane * z_dim..(lane + 1) * z_dim];
+                        lanes[lane]
+                            .2
+                            .append_policy_state(&view, z, &mut self.scratch.head_in);
+                    }
+                    &view.packed.policy
+                } else {
+                    for &lane in &self.scratch.policy_lanes {
+                        self.scratch
+                            .head_in
+                            .extend_from_slice(&self.scratch.zs[lane * z_dim..(lane + 1) * z_dim]);
+                    }
+                    &view.packed.head
+                };
+                self.scratch.head_out.clear();
+                self.scratch
+                    .head_out
+                    .resize(self.scratch.policy_lanes.len() * 2, 0.0);
+                head.infer_batch(
+                    &self.scratch.head_in,
+                    self.scratch.policy_lanes.len(),
+                    &mut self.scratch.head_out,
+                );
+                for (k, &lane) in self.scratch.policy_lanes.iter().enumerate() {
+                    let logits = [
+                        self.scratch.head_out[2 * k],
+                        self.scratch.head_out[2 * k + 1],
+                    ];
+                    lanes[lane].3 =
+                        Pending::Fixed(crate::asdnet::AsdNet::greedy_from_logits(logits));
+                }
+            }
+
+            // Phase 4: commit labels and return the sessions to the slab.
+            for (ei, segment, mut state, pending) in lanes.drain(..) {
+                let (session, _) = events[ei as usize];
+                let label = match pending {
+                    Pending::Fixed(label) => label,
+                    Pending::Policy => unreachable!("all policy lanes decided in phase 3"),
+                };
+                state.commit(segment, label);
+                out[ei as usize] = label;
+                alerts += u64::from(label != 0);
+                self.sessions.restore(
+                    session,
+                    SessionEntry {
+                        epoch,
+                        last_tick: self.tick,
+                        state,
+                    },
+                );
+            }
         }
 
         self.stats.observe_events += batch as u64;

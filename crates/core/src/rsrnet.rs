@@ -115,8 +115,7 @@ impl RsrNet {
             state = next;
             let z = ops::concat(&state.h, self.nrf_embed.lookup(nrf[i] as usize));
             let (logits, hctx) = self.head.forward(&z);
-            let mut p = [logits[0], logits[1]];
-            softmax2(&mut p);
+            let p = ops::softmax2([logits[0], logits[1]]);
             zs.push(z);
             probs.push(p);
             lstm_ctxs.push(ctx);
@@ -343,27 +342,8 @@ impl RsrNet {
     pub fn classify(&self, z: &[f32]) -> [f32; 2] {
         let mut logits = vec![0.0; 2];
         self.head.infer(z, &mut logits);
-        Self::classify_from_logits([logits[0], logits[1]])
+        ops::softmax2([logits[0], logits[1]])
     }
-
-    /// Label probabilities from the head's raw logits. Shared by the scalar
-    /// [`RsrNet::classify`] path and the engine's batched head pass so both
-    /// make bit-identical decisions.
-    pub fn classify_from_logits(logits: [f32; 2]) -> [f32; 2] {
-        let mut p = logits;
-        softmax2(&mut p);
-        p
-    }
-}
-
-#[inline]
-fn softmax2(p: &mut [f32; 2]) {
-    let m = p[0].max(p[1]);
-    let e0 = (p[0] - m).exp();
-    let e1 = (p[1] - m).exp();
-    let s = e0 + e1;
-    p[0] = e0 / s;
-    p[1] = e1 / s;
 }
 
 #[cfg(test)]

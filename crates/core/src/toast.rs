@@ -180,7 +180,7 @@ fn sgns_update(
     let vi = &w_in[center * dim..(center + 1) * dim];
     let vo = &mut w_out[ctx * dim..(ctx + 1) * dim];
     let score: f32 = vi.iter().zip(vo.iter()).map(|(a, b)| a * b).sum();
-    let pred = 1.0 / (1.0 + (-score).exp());
+    let pred = nn::ops::sigmoid(score);
     let err = pred - label; // d loss / d score
     for k in 0..dim {
         grad_in[k] += err * vo[k];

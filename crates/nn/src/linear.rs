@@ -141,14 +141,17 @@ mod tests {
             let x = x.clone();
             move |l: &Linear| -> f32 {
                 let (y, _) = l.forward(&x);
-                y.iter().map(|v| v.tanh()).sum()
+                y.iter().map(|&v| crate::ops::tanh(v)).sum()
             }
         };
         let mut l = Linear::new(3, 2, &mut seeded_rng(2));
         l.zero_grad();
         let (y, ctx) = l.forward(&x);
         // dL/dy for L = sum tanh(y)
-        let dy: Vec<f32> = y.iter().map(|v| 1.0 - v.tanh() * v.tanh()).collect();
+        let dy: Vec<f32> = y
+            .iter()
+            .map(|&v| 1.0 - crate::ops::tanh(v) * crate::ops::tanh(v))
+            .collect();
         let dx = l.backward(&ctx, &dy);
         // dL/dx via chain rule must equal W^T dy
         let mut expect = vec![0.0; 3];

@@ -3,22 +3,15 @@
 //!
 //! The dot-product-shaped entry points ([`dot`], [`matvec`],
 //! [`matvec_batch`]) are thin wrappers over the vectorized [`kernels`]
-//! layer and share its fixed reduction order; see the module docs there
-//! for why that keeps the repo's bit-identity invariants intact.
+//! layer and share its fixed reduction order, and the activations
+//! ([`exp`], [`sigmoid`], [`tanh`]) *are* the kernel layer's owned
+//! non-linearities — the one definition training and serving share; see
+//! the module docs there for why that keeps the repo's bit-identity
+//! invariants intact across hosts.
 
 pub mod kernels;
 
-/// Logistic sigmoid.
-#[inline]
-pub fn sigmoid(x: f32) -> f32 {
-    1.0 / (1.0 + (-x).exp())
-}
-
-/// Hyperbolic tangent (thin wrapper for symmetry with [`sigmoid`]).
-#[inline]
-pub fn tanh(x: f32) -> f32 {
-    x.tanh()
-}
+pub use kernels::{exp, sigmoid, tanh, Activation};
 
 /// In-place numerically stable softmax.
 pub fn softmax_inplace(x: &mut [f32]) {
@@ -26,15 +19,25 @@ pub fn softmax_inplace(x: &mut [f32]) {
         return;
     }
     let max = x.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
-    let mut sum = 0.0;
     for v in x.iter_mut() {
-        *v = (*v - max).exp();
-        sum += *v;
+        *v -= max;
     }
-    let inv = 1.0 / sum;
+    Activation::Exp.apply(x);
+    let inv = 1.0 / x.iter().sum::<f32>();
     for v in x.iter_mut() {
         *v *= inv;
     }
+}
+
+/// Two-way softmax `[e₀, e₁] / (e₀ + e₁)`, shifted by the larger logit.
+/// The probability head of RSRNet and ASDNet.
+#[inline]
+pub fn softmax2(logits: [f32; 2]) -> [f32; 2] {
+    let m = logits[0].max(logits[1]);
+    let e0 = exp(logits[0] - m);
+    let e1 = exp(logits[1] - m);
+    let s = e0 + e1;
+    [e0 / s, e1 / s]
 }
 
 /// Softmax into a fresh vector.

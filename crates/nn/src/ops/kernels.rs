@@ -1,11 +1,12 @@
-//! Vectorized micro-GEMM kernel layer: 8-lane unrolled dot/axpy primitives
-//! and a register-blocked `rows × batch` micro-kernel for the inference
-//! hot path.
+//! The kernel layer: the inference hot path's dot products, mat-vecs and
+//! gate non-linearities, each with **one** bit-exact definition that every
+//! instruction set reproduces.
 //!
 //! # The fixed reduction order
 //!
 //! Every dot-product-shaped value in this module is accumulated the same
-//! way, regardless of which public entry point computed it:
+//! way, regardless of which public entry point or instruction set
+//! computed it:
 //!
 //! 1. **Lane-strided partial sums.** Eight `f32` accumulators start at
 //!    `+0.0`; the product at index `i` is added to accumulator `i % 8`, in
@@ -21,8 +22,9 @@
 //! value**:
 //!
 //! * [`matvec`] and [`gemm_micro`] produce identical bits per output cell
-//!   at any batch — the register blocking only changes *which* cells are
-//!   in flight, never the order of additions within a cell;
+//!   at any batch and on any instruction set — register blocking only
+//!   changes *which* cells are in flight, never the order of additions
+//!   within a cell;
 //! * a [`PackedWeights`](crate::pack::PackedWeights) row (padded to the
 //!   lane width) feeds the same kernel as the unpadded row-major slice —
 //!   the padding is never read (the `cols` bound stops before it), so
@@ -32,38 +34,96 @@
 //!   (`tests/ingest.rs`) — survive vectorization *by construction*: there
 //!   is exactly one accumulation order in the whole inference stack.
 //!
-//! # Implementation notes
+//! # The owned non-linearities
 //!
-//! The order-defining implementation is the portable [`dot_portable`]
-//! (plain safe Rust). On `x86_64` the kernels dispatch to an explicit
-//! SSE2 path (`core::arch` intrinsics — SSE2 is part of the x86_64
-//! baseline ABI, so no runtime detection is needed): the eight lane
-//! accumulators live in two `__m128` registers, lanes 0–3 and 4–7, and
-//! each 8-wide block is two `mulps`+`addps` per cell. Packed-single IEEE
-//! arithmetic rounds exactly like the scalar ops, so the intrinsic path
-//! is bit-identical to the portable one (property-tested in
-//! `tests/kernels.rs` and below).
+//! [`exp`], [`sigmoid`] and [`tanh`] are this module's own, not libm's
+//! (whose precision is platform-defined): range reduction plus a
+//! fixed-degree polynomial, IEEE `+ - * /` and bit operations only —
+//! **never FMA** (a fused multiply-add rounds once where the definition
+//! rounds twice). One generic body per function is written over a lane
+//! type; its `f32` instance is the **definition**, and the SSE2 (4-wide)
+//! and AVX2 (8-wide) instances execute the same operations in the same
+//! order, so they are bit-identical to it for every input (proptested in
+//! `tests/kernels.rs` over arbitrary bit patterns). Training and serving
+//! call the same functions, so the labels and the invariant table hold
+//! across hosts, not per libm.
 //!
-//! Why not rely on autovectorization alone: LLVM's SLP vectorizer
-//! (rustc 1.95) packs the lane accumulators to optimise the *reduction
-//! tree* rather than the loop, emitting shuffle-heavy bodies
-//! (`movsd`/`unpcklps`/`shufps` per block) that ran no faster than ~1.7×
-//! scalar; the explicit kernels reach ~3–4× and keep codegen stable
-//! across `target-cpu` settings.
+//! **`exp(x)`** (Cephes `expf`):
 //!
-//! On register blocking: a 2×2 block (four cells) was measured and
-//! rejected — four 8-lane accumulator arrays plus four input streams
-//! exceed SSE's 16 registers and the spilled accumulators made each cell
-//! ~4× slower than a plain [`dot`]. Two cells per micro-kernel (2 rows ×
-//! 1 input, or 1 row × 2 inputs) is the largest block that keeps every
-//! accumulator in a register.
+//! 1. NaN → `f32::NAN` (`0x7FC0_0000`, whatever the input payload);
+//! 2. clamp `xc = min(HI, max(LO, x))` with `HI = 88.37626`,
+//!    `LO = −87.33654` — so `exp(+∞) = e^HI ≈ 2.41e38` and
+//!    `exp(−∞) = e^LO ≈ 1.18e−38`: finite, never `inf`/`0`;
+//! 3. `t = xc·log2(e) + 1.5·2²³` (the add rounds to the nearest integer
+//!    `n`, ties to even, and leaves it in `t`'s low mantissa bits),
+//!    `n = t − 1.5·2²³`;
+//! 4. `r = (xc − n·0.693359375) − n·(−2.12194440e−4)` (Cody–Waite);
+//! 5. `p = ((((P0·r + P1)·r + P2)·r + P3)·r + P4)·r + P5` with
+//!    `P = [1.9875691e−4, 1.3981999e−3, 8.3334519e−3, 4.1665796e−2,
+//!    1.6666665e−1, 0.5]`, `y = (p·(r·r) + r) + 1`;
+//! 6. result `y · 2ⁿ`, with `2ⁿ` built from `t`'s bits:
+//!    `from_bits((bits(t) − (0x4B40_0000 − 127)) << 23)`.
 //!
-//! A transposed weight layout for the batch path was likewise rejected:
+//! **`sigmoid(x)`** = `1 / (1 + exp(−x))` with step 1 applied to `x`
+//! (so `sigmoid(+∞) = 1`, `sigmoid(−∞) = 1/(1+e^HI) ≈ 4.2e−39`).
+//!
+//! **`tanh(x)`** (Cephes `tanhf`): NaN → `f32::NAN`; `a = |x|`;
+//! `a ≥ 0.625`: `1 − 2/(exp(a+a) + 1)`; otherwise, with `z = a·a`,
+//! `((((T0·z + T1)·z + T2)·z + T3)·z + T4)·z·a + a` with
+//! `T = [−5.7049889e−3, 2.063909e−2, −5.3739716e−2, 1.3331442e−1,
+//! −3.333328e−1]` (evaluated left to right); then `x`'s sign bit is OR-ed
+//! in. So `tanh` is exactly odd, `tanh(±0) = ±0`, `tanh(±∞) = ±1`.
+//!
+//! **Error** against an `f64` reference, over every 13th `f32` bit
+//! pattern (worst case measured in brackets; the bounds are asserted on a
+//! sample by `nonlinearities_stay_within_the_stated_error`):
+//!
+//! | function | absolute | relative |
+//! |---|---|---|
+//! | `exp` on `[LO, HI]` | — | ≤ 1e−7 (8.2e−8) |
+//! | `sigmoid` | ≤ 1e−7 (9.0e−8) | ≤ 2e−7 for `x ≥ −87` (1.5e−7) |
+//! | `tanh` | ≤ 1e−7 (7.9e−8) | ≤ 2e−7 for normal `x` (1.4e−7) |
+//!
+//! # Instruction sets
+//!
+//! The order-defining implementations are the portable [`dot_portable`]
+//! and the `f32` instances of the non-linearities (plain safe Rust). On
+//! `x86_64` the entry points dispatch by CPU feature detection alone — no
+//! flag, env var or cargo feature selects a path:
+//!
+//! * **AVX2** (`is_x86_feature_detected!("avx2")`, resolved at compile
+//!   time under `-C target-cpu` with AVX2): each mat-vec cell keeps one
+//!   `__m256` whose lanes *are* the eight `i % 8` accumulators, 4 rows
+//!   (× 2 inputs in [`gemm_micro`]) in flight, reduced in registers by
+//!   extract-high/add, movehl/add, shuffle/add — exactly the tree above.
+//!   The non-linearities and the fused [`lstm_cell`] run 8 lanes at a time.
+//! * **SSE2** (the x86_64 baseline, so no detection): each cell's
+//!   accumulators live in two `__m128` (lanes 0–3 / 4–7), 2 cells in
+//!   flight; non-linearities 4 lanes at a time.
+//!
+//! Each is reachable directly through the [`Sse2`] / [`Avx2`] tokens (an
+//! [`Avx2`] only exists on a CPU that has it), which is how the tests pin
+//! every path to the definition. Tails shorter than a vector fall back to
+//! the portable code, which computes the same bits.
+//!
+//! Why explicit intrinsics rather than autovectorization: LLVM's SLP
+//! vectorizer (rustc 1.95) packs the lane accumulators to optimise the
+//! *reduction tree* rather than the loop, emitting shuffle-heavy bodies
+//! that ran no faster than ~1.7× scalar, and it cannot vectorize the
+//! reduction without reassociating it.
+//!
+//! A transposed weight layout for the batch path was rejected:
 //! vectorizing across batch lanes (or across rows) forces a
 //! *sequential-k* accumulation per cell — a different reduction order
-//! than the scalar path, which would break the bit-identity above. See
-//! ROADMAP for the follow-on (runtime `target-cpu` dispatch / `std::simd`
-//! once stable).
+//! than the scalar path, which would break the bit-identity above.
+
+#[cfg(target_arch = "x86_64")]
+mod x86;
+
+#[cfg(target_arch = "x86_64")]
+pub use x86::{Avx2, Sse2};
+
+use std::ops::{Add, Div, Mul, Neg, Sub};
 
 /// Vector width of the kernel layer: every reduction runs over this many
 /// lane-strided partial accumulators, and packed rows are padded to a
@@ -99,7 +159,7 @@ fn fma_tail(acc: &mut [f32; LANES], a: &[f32], b: &[f32]) {
 
 /// The portable lane-strided dot product — the *definition* of the fixed
 /// reduction order. [`dot`] dispatches here on non-x86 targets; on
-/// `x86_64` the SSE2 path below computes the same bits faster.
+/// `x86_64` the SSE2 path computes the same bits faster.
 #[inline]
 pub fn dot_portable(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
@@ -111,111 +171,6 @@ pub fn dot_portable(a: &[f32], b: &[f32]) -> f32 {
     }
     fma_tail(&mut acc, at, bt);
     reduce(&acc)
-}
-
-/// Explicit SSE2 kernels (x86_64 baseline — always available, no runtime
-/// detection). Each cell's eight lane accumulators live in two `__m128`s
-/// (lanes 0–3 / 4–7); after the block loop they are stored back to the
-/// lane array so the tail and the reduction tree are shared with the
-/// portable path — one reduction order, two codegen strategies.
-#[cfg(target_arch = "x86_64")]
-mod x86 {
-    use super::{fma_tail, reduce, LANES};
-    use core::arch::x86_64::*;
-
-    /// Loads one 8-wide block as two `__m128`s.
-    ///
-    /// # Safety
-    /// `p` must point at least 8 readable `f32`s (guaranteed by the
-    /// `&[f32; 8]` chunk it comes from).
-    #[inline(always)]
-    unsafe fn load8(p: *const f32) -> (__m128, __m128) {
-        (_mm_loadu_ps(p), _mm_loadu_ps(p.add(4)))
-    }
-
-    #[inline]
-    pub fn dot(a: &[f32], b: &[f32]) -> f32 {
-        debug_assert_eq!(a.len(), b.len());
-        let (ab, at) = a.as_chunks::<LANES>();
-        let (bb, bt) = b.as_chunks::<LANES>();
-        let mut acc = [0.0f32; LANES];
-        unsafe {
-            let mut lo = _mm_setzero_ps();
-            let mut hi = _mm_setzero_ps();
-            for (x, y) in ab.iter().zip(bb) {
-                let (x0, x1) = load8(x.as_ptr());
-                let (y0, y1) = load8(y.as_ptr());
-                lo = _mm_add_ps(lo, _mm_mul_ps(x0, y0));
-                hi = _mm_add_ps(hi, _mm_mul_ps(x1, y1));
-            }
-            _mm_storeu_ps(acc.as_mut_ptr(), lo);
-            _mm_storeu_ps(acc.as_mut_ptr().add(4), hi);
-        }
-        fma_tail(&mut acc, at, bt);
-        reduce(&acc)
-    }
-
-    #[inline]
-    pub fn dot_2x1(w0: &[f32], w1: &[f32], x: &[f32]) -> [f32; 2] {
-        let (w0b, w0t) = w0.as_chunks::<LANES>();
-        let (w1b, w1t) = w1.as_chunks::<LANES>();
-        let (xb, xt) = x.as_chunks::<LANES>();
-        let mut a0 = [0.0f32; LANES];
-        let mut a1 = [0.0f32; LANES];
-        unsafe {
-            let mut lo0 = _mm_setzero_ps();
-            let mut hi0 = _mm_setzero_ps();
-            let mut lo1 = _mm_setzero_ps();
-            let mut hi1 = _mm_setzero_ps();
-            for ((r0, r1), c) in w0b.iter().zip(w1b).zip(xb) {
-                let (c0, c1) = load8(c.as_ptr());
-                let (p0, p1) = load8(r0.as_ptr());
-                lo0 = _mm_add_ps(lo0, _mm_mul_ps(p0, c0));
-                hi0 = _mm_add_ps(hi0, _mm_mul_ps(p1, c1));
-                let (q0, q1) = load8(r1.as_ptr());
-                lo1 = _mm_add_ps(lo1, _mm_mul_ps(q0, c0));
-                hi1 = _mm_add_ps(hi1, _mm_mul_ps(q1, c1));
-            }
-            _mm_storeu_ps(a0.as_mut_ptr(), lo0);
-            _mm_storeu_ps(a0.as_mut_ptr().add(4), hi0);
-            _mm_storeu_ps(a1.as_mut_ptr(), lo1);
-            _mm_storeu_ps(a1.as_mut_ptr().add(4), hi1);
-        }
-        fma_tail(&mut a0, w0t, xt);
-        fma_tail(&mut a1, w1t, xt);
-        [reduce(&a0), reduce(&a1)]
-    }
-
-    #[inline]
-    pub fn dot_1x2(w: &[f32], x0: &[f32], x1: &[f32]) -> [f32; 2] {
-        let (wb, wt) = w.as_chunks::<LANES>();
-        let (x0b, x0t) = x0.as_chunks::<LANES>();
-        let (x1b, x1t) = x1.as_chunks::<LANES>();
-        let mut a0 = [0.0f32; LANES];
-        let mut a1 = [0.0f32; LANES];
-        unsafe {
-            let mut lo0 = _mm_setzero_ps();
-            let mut hi0 = _mm_setzero_ps();
-            let mut lo1 = _mm_setzero_ps();
-            let mut hi1 = _mm_setzero_ps();
-            for ((r, c0), c1) in wb.iter().zip(x0b).zip(x1b) {
-                let (p0, p1) = load8(r.as_ptr());
-                let (u0, u1) = load8(c0.as_ptr());
-                lo0 = _mm_add_ps(lo0, _mm_mul_ps(p0, u0));
-                hi0 = _mm_add_ps(hi0, _mm_mul_ps(p1, u1));
-                let (v0, v1) = load8(c1.as_ptr());
-                lo1 = _mm_add_ps(lo1, _mm_mul_ps(p0, v0));
-                hi1 = _mm_add_ps(hi1, _mm_mul_ps(p1, v1));
-            }
-            _mm_storeu_ps(a0.as_mut_ptr(), lo0);
-            _mm_storeu_ps(a0.as_mut_ptr().add(4), hi0);
-            _mm_storeu_ps(a1.as_mut_ptr(), lo1);
-            _mm_storeu_ps(a1.as_mut_ptr().add(4), hi1);
-        }
-        fma_tail(&mut a0, wt, x0t);
-        fma_tail(&mut a1, wt, x1t);
-        [reduce(&a0), reduce(&a1)]
-    }
 }
 
 /// Dot product in the fixed reduction order.
@@ -231,56 +186,6 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     #[cfg(not(target_arch = "x86_64"))]
     {
         dot_portable(a, b)
-    }
-}
-
-/// 2-row micro-kernel: dots two weight rows against one input, sharing the
-/// input's register loads. Both cells use the fixed reduction order.
-#[inline]
-fn dot_2x1(w0: &[f32], w1: &[f32], x: &[f32]) -> [f32; 2] {
-    #[cfg(target_arch = "x86_64")]
-    {
-        x86::dot_2x1(w0, w1, x)
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let mut a0 = [0.0f32; LANES];
-        let mut a1 = [0.0f32; LANES];
-        let (w0b, w0t) = w0.as_chunks::<LANES>();
-        let (w1b, w1t) = w1.as_chunks::<LANES>();
-        let (xb, xt) = x.as_chunks::<LANES>();
-        for ((r0, r1), c) in w0b.iter().zip(w1b).zip(xb) {
-            fma_block(&mut a0, r0, c);
-            fma_block(&mut a1, r1, c);
-        }
-        fma_tail(&mut a0, w0t, xt);
-        fma_tail(&mut a1, w1t, xt);
-        [reduce(&a0), reduce(&a1)]
-    }
-}
-
-/// 1-row × 2-batch micro-kernel: one weight row against two inputs,
-/// sharing the row's register loads.
-#[inline]
-fn dot_1x2(w: &[f32], x0: &[f32], x1: &[f32]) -> [f32; 2] {
-    #[cfg(target_arch = "x86_64")]
-    {
-        x86::dot_1x2(w, x0, x1)
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let mut a0 = [0.0f32; LANES];
-        let mut a1 = [0.0f32; LANES];
-        let (wb, wt) = w.as_chunks::<LANES>();
-        let (x0b, x0t) = x0.as_chunks::<LANES>();
-        let (x1b, x1t) = x1.as_chunks::<LANES>();
-        for ((r, c0), c1) in wb.iter().zip(x0b).zip(x1b) {
-            fma_block(&mut a0, r, c0);
-            fma_block(&mut a1, r, c1);
-        }
-        fma_tail(&mut a0, wt, x0t);
-        fma_tail(&mut a1, wt, x1t);
-        [reduce(&a0), reduce(&a1)]
     }
 }
 
@@ -306,26 +211,20 @@ pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
 /// Strided matrix–vector product `y = W x`: row `r` of `W` is
 /// `w[r*stride .. r*stride + cols]`. `stride == cols` is the plain
 /// row-major case; packed weights pass their padded stride (the padding is
-/// never read). Rows are processed in pairs so `x`'s register loads are
-/// shared.
+/// never read).
 pub fn matvec(w: &[f32], stride: usize, rows: usize, cols: usize, x: &[f32], y: &mut [f32]) {
     debug_assert!(stride >= cols);
     debug_assert!(w.len() >= rows.saturating_sub(1) * stride + cols * usize::from(rows > 0));
     debug_assert_eq!(x.len(), cols);
     debug_assert_eq!(y.len(), rows);
-    let mut r = 0;
-    while r + 2 <= rows {
-        let [y0, y1] = dot_2x1(
-            &w[r * stride..r * stride + cols],
-            &w[(r + 1) * stride..(r + 1) * stride + cols],
-            x,
-        );
-        y[r] = y0;
-        y[r + 1] = y1;
-        r += 2;
+    #[cfg(target_arch = "x86_64")]
+    match Avx2::detect() {
+        Some(avx2) => avx2.matvec(w, stride, rows, cols, x, y),
+        None => Sse2.matvec(w, stride, rows, cols, x, y),
     }
-    if r < rows {
-        y[r] = dot(&w[r * stride..r * stride + cols], x);
+    #[cfg(not(target_arch = "x86_64"))]
+    for (r, yr) in y.iter_mut().enumerate() {
+        *yr = dot_portable(&w[r * stride..r * stride + cols], x);
     }
 }
 
@@ -333,13 +232,11 @@ pub fn matvec(w: &[f32], stride: usize, rows: usize, cols: usize, x: &[f32], y: 
 /// `ys[b*rows + r] = dot(W_row_r, x_b)` for `batch` input rows stored at
 /// `x_stride` (`xs[b*x_stride .. b*x_stride + cols]`).
 ///
-/// Each weight row is dotted against two batch lanes at a time (the 1×2
-/// micro-kernel: the row's register loads are shared across both cells,
-/// halving weight-stream traffic); `batch == 1` falls back to the
-/// row-paired [`matvec`]. Every cell uses the fixed reduction order, so
-/// the output is bit-identical to `batch` independent [`matvec`] calls —
-/// which is exactly the invariant `ops::matvec_batch` promises the
-/// serving engines.
+/// Several weight rows are dotted against two batch lanes at a time,
+/// sharing register loads across cells. Every cell uses the fixed
+/// reduction order, so the output is bit-identical to `batch` independent
+/// [`matvec`] calls — which is exactly the invariant `ops::matvec_batch`
+/// promises the serving engines.
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_micro(
     w: &[f32],
@@ -354,24 +251,328 @@ pub fn gemm_micro(
     debug_assert!(w_stride >= cols && x_stride >= cols);
     debug_assert!(xs.len() >= batch.saturating_sub(1) * x_stride + cols * usize::from(batch > 0));
     debug_assert_eq!(ys.len(), batch * rows);
-    if batch == 1 {
-        return matvec(w, w_stride, rows, cols, &xs[..cols], ys);
+    #[cfg(target_arch = "x86_64")]
+    match Avx2::detect() {
+        Some(avx2) => avx2.gemm_micro(w, w_stride, rows, cols, xs, x_stride, batch, ys),
+        None => Sse2.gemm_micro(w, w_stride, rows, cols, xs, x_stride, batch, ys),
     }
-    let wrow = |r: usize| &w[r * w_stride..r * w_stride + cols];
-    let xrow = |b: usize| &xs[b * x_stride..b * x_stride + cols];
-    for r in 0..rows {
-        let w0 = wrow(r);
-        let mut b = 0;
-        while b + 2 <= batch {
-            let [y0, y1] = dot_1x2(w0, xrow(b), xrow(b + 1));
-            ys[b * rows + r] = y0;
-            ys[(b + 1) * rows + r] = y1;
-            b += 2;
-        }
-        if b < batch {
-            ys[b * rows + r] = dot(w0, xrow(b));
+    #[cfg(not(target_arch = "x86_64"))]
+    for b in 0..batch {
+        let x = &xs[b * x_stride..b * x_stride + cols];
+        matvec(
+            w,
+            w_stride,
+            rows,
+            cols,
+            x,
+            &mut ys[b * rows..(b + 1) * rows],
+        );
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Owned non-linearities (see the module docs for the specification).
+
+const SIGN: u32 = 0x8000_0000;
+const EXP_HI: f32 = 88.376_26;
+const EXP_LO: f32 = -87.336_54;
+const LOG2E: f32 = std::f32::consts::LOG2_E;
+/// 1.5·2²³: adding it rounds to an integer kept in the low mantissa bits.
+const ROUND_MAGIC: f32 = 12_582_912.0;
+/// `bits(ROUND_MAGIC)` minus the exponent bias: `(bits(n + ROUND_MAGIC) −
+/// EXP2I_BIAS) << 23` are the bits of `2ⁿ`.
+const EXP2I_BIAS: u32 = 0x4B40_0000 - 127;
+const LN2_HI: f32 = 0.693_359_4; // 0.693359375 exactly
+const LN2_LO: f32 = -2.121_944_4e-4;
+const EXP_P: [f32; 6] = [
+    1.987_569_1e-4,
+    1.398_199_9e-3,
+    8.333_452e-3,
+    4.166_579_6e-2,
+    1.666_666_5e-1,
+    0.5,
+];
+const TANH_SPLIT: f32 = 0.625;
+const TANH_P: [f32; 5] = [
+    -5.704_988_7e-3,
+    2.063_909e-2,
+    -5.373_971_6e-2,
+    1.333_144_2e-1,
+    -3.333_328e-1,
+];
+
+/// A vector of `f32` lanes the non-linearities are written over: `f32`
+/// itself (the portable definition), and on x86_64 an SSE2 4-lane and an
+/// AVX2 8-lane type. Arithmetic is the IEEE operators; every other
+/// operation is specified by its per-lane scalar meaning, which the SIMD
+/// implementations match bit for bit.
+trait Lanes:
+    Copy
+    + Add<Output = Self>
+    + Sub<Output = Self>
+    + Mul<Output = Self>
+    + Div<Output = Self>
+    + Neg<Output = Self>
+{
+    /// Number of `f32` lanes.
+    const WIDTH: usize;
+    /// All lanes `v`.
+    fn splat(v: f32) -> Self;
+    /// The first `WIDTH` elements of `s`.
+    fn load(s: &[f32]) -> Self;
+    /// Writes the lanes to the first `WIDTH` elements of `s`.
+    fn store(self, s: &mut [f32]);
+    /// `if self > o { self } else { o }` (x86 `maxps`; a NaN `self` gives `o`).
+    fn maxps(self, o: Self) -> Self;
+    /// `if self < o { self } else { o }` (x86 `minps`).
+    fn minps(self, o: Self) -> Self;
+    /// The sign bit cleared.
+    fn abs(self) -> Self;
+    /// `self`'s bits OR the sign bit of `sign`.
+    fn or_sign(self, sign: Self) -> Self;
+    /// `if self >= o { a } else { b }` (false for NaN).
+    fn select_ge(self, o: Self, a: Self, b: Self) -> Self;
+    /// `f32::NAN` where `self` is NaN, else `v`.
+    fn nan_or(self, v: Self) -> Self;
+    /// `2ⁿ` for `self = n + ROUND_MAGIC`:
+    /// `from_bits((bits(self) − EXP2I_BIAS) << 23)` in wrapping `u32`.
+    fn exp2i(self) -> Self;
+}
+
+impl Lanes for f32 {
+    const WIDTH: usize = 1;
+
+    #[inline(always)]
+    fn splat(v: f32) -> f32 {
+        v
+    }
+
+    #[inline(always)]
+    fn load(s: &[f32]) -> f32 {
+        s[0]
+    }
+
+    #[inline(always)]
+    fn store(self, s: &mut [f32]) {
+        s[0] = self;
+    }
+
+    #[inline(always)]
+    fn maxps(self, o: f32) -> f32 {
+        if self > o {
+            self
+        } else {
+            o
         }
     }
+
+    #[inline(always)]
+    fn minps(self, o: f32) -> f32 {
+        if self < o {
+            self
+        } else {
+            o
+        }
+    }
+
+    #[inline(always)]
+    fn abs(self) -> f32 {
+        f32::from_bits(self.to_bits() & !SIGN)
+    }
+
+    #[inline(always)]
+    fn or_sign(self, sign: f32) -> f32 {
+        f32::from_bits(self.to_bits() | (sign.to_bits() & SIGN))
+    }
+
+    #[inline(always)]
+    fn select_ge(self, o: f32, a: f32, b: f32) -> f32 {
+        if self >= o {
+            a
+        } else {
+            b
+        }
+    }
+
+    #[inline(always)]
+    fn nan_or(self, v: f32) -> f32 {
+        if self.is_nan() {
+            f32::NAN
+        } else {
+            v
+        }
+    }
+
+    #[inline(always)]
+    fn exp2i(self) -> f32 {
+        f32::from_bits(self.to_bits().wrapping_sub(EXP2I_BIAS) << 23)
+    }
+}
+
+/// Steps 2–6 of `exp` (no NaN rule: a NaN input gives *some* NaN).
+#[inline(always)]
+fn exp_core<V: Lanes>(x: V) -> V {
+    let k = V::splat;
+    let xc = k(EXP_HI).minps(k(EXP_LO).maxps(x));
+    let t = xc * k(LOG2E) + k(ROUND_MAGIC);
+    let n = t - k(ROUND_MAGIC);
+    let r = xc - n * k(LN2_HI) - n * k(LN2_LO);
+    let p = ((((k(EXP_P[0]) * r + k(EXP_P[1])) * r + k(EXP_P[2])) * r + k(EXP_P[3])) * r
+        + k(EXP_P[4]))
+        * r
+        + k(EXP_P[5]);
+    let y = p * (r * r) + r + k(1.0);
+    y * t.exp2i()
+}
+
+#[inline(always)]
+fn exp_lanes<V: Lanes>(x: V) -> V {
+    x.nan_or(exp_core(x))
+}
+
+#[inline(always)]
+fn sigmoid_lanes<V: Lanes>(x: V) -> V {
+    let one = V::splat(1.0);
+    x.nan_or(one / (one + exp_core(-x)))
+}
+
+#[inline(always)]
+fn tanh_lanes<V: Lanes>(x: V) -> V {
+    let k = V::splat;
+    let a = x.abs();
+    let big = k(1.0) - k(2.0) / (exp_core(a + a) + k(1.0));
+    let z = a * a;
+    let small = ((((k(TANH_P[0]) * z + k(TANH_P[1])) * z + k(TANH_P[2])) * z + k(TANH_P[3])) * z
+        + k(TANH_P[4]))
+        * z
+        * a
+        + a;
+    x.nan_or(a.select_ge(k(TANH_SPLIT), big, small).or_sign(x))
+}
+
+/// `eˣ` — the portable definition (order, clamp and NaN rule in the module
+/// docs).
+#[inline]
+pub fn exp(x: f32) -> f32 {
+    exp_lanes(x)
+}
+
+/// Logistic sigmoid `1 / (1 + e⁻ˣ)` — the portable definition.
+#[inline]
+pub fn sigmoid(x: f32) -> f32 {
+    sigmoid_lanes(x)
+}
+
+/// Hyperbolic tangent — the portable definition.
+#[inline]
+pub fn tanh(x: f32) -> f32 {
+    tanh_lanes(x)
+}
+
+/// The owned element-wise non-linearities, for the slice entry point
+/// [`Activation::apply`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Activation {
+    /// [`exp`].
+    Exp,
+    /// [`sigmoid`].
+    Sigmoid,
+    /// [`tanh`].
+    Tanh,
+}
+
+impl Activation {
+    /// All three, for tests and probes.
+    pub const ALL: [Activation; 3] = [Activation::Exp, Activation::Sigmoid, Activation::Tanh];
+
+    /// The portable definition at one point.
+    #[inline]
+    pub fn of(self, x: f32) -> f32 {
+        act_lanes(self, x)
+    }
+
+    /// Applies the function to every element in place, on the widest
+    /// instruction set the CPU has. Bit-identical to [`Activation::of`]
+    /// per element.
+    pub fn apply(self, xs: &mut [f32]) {
+        #[cfg(target_arch = "x86_64")]
+        match Avx2::detect() {
+            Some(avx2) => avx2.apply(self, xs),
+            None => Sse2.apply(self, xs),
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        apply_with::<f32>(self, xs)
+    }
+}
+
+#[inline(always)]
+fn act_lanes<V: Lanes>(act: Activation, x: V) -> V {
+    match act {
+        Activation::Exp => exp_lanes(x),
+        Activation::Sigmoid => sigmoid_lanes(x),
+        Activation::Tanh => tanh_lanes(x),
+    }
+}
+
+/// [`Activation::apply`] over `V`'s width, the tail in the portable code.
+#[inline(always)]
+fn apply_with<V: Lanes>(act: Activation, xs: &mut [f32]) {
+    let mut k = 0;
+    while k + V::WIDTH <= xs.len() {
+        act_lanes(act, V::load(&xs[k..])).store(&mut xs[k..]);
+        k += V::WIDTH;
+    }
+    for x in &mut xs[k..] {
+        *x = act_lanes(act, *x);
+    }
+}
+
+/// The fused LSTM cell update of one lane: with pre-activations
+/// `z + bias` (`4H`, gate order `i, f, g, o`), `c ← σ(f)⊙c + σ(i)⊙tanh(g)`
+/// and `h ← σ(o)⊙tanh(c)`. `z` is read once and not written. The same
+/// expressions as [`LstmCell::forward`](crate::LstmCell::forward), so the
+/// raw, packed, scalar and batched step paths are all bit-identical.
+pub fn lstm_cell(z: &[f32], bias: &[f32], c: &mut [f32], h: &mut [f32]) {
+    debug_assert_eq!(z.len(), 4 * c.len());
+    debug_assert_eq!(bias.len(), 4 * c.len());
+    debug_assert_eq!(h.len(), c.len());
+    #[cfg(target_arch = "x86_64")]
+    match Avx2::detect() {
+        Some(avx2) => avx2.lstm_cell(z, bias, c, h),
+        None => Sse2.lstm_cell(z, bias, c, h),
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    lstm_cell_with::<f32>(z, bias, c, h)
+}
+
+/// [`lstm_cell`] `V::WIDTH` hidden units at a time, the tail in the
+/// portable code.
+#[inline(always)]
+fn lstm_cell_with<V: Lanes>(z: &[f32], bias: &[f32], c: &mut [f32], h: &mut [f32]) {
+    let hd = c.len();
+    let mut k = 0;
+    while k + V::WIDTH <= hd {
+        lstm_cell_block::<V>(z, bias, c, h, k);
+        k += V::WIDTH;
+    }
+    for k in k..hd {
+        lstm_cell_block::<f32>(z, bias, c, h, k);
+    }
+}
+
+// No closures in the generic bodies: a closure does not inherit the
+// `target_feature` of the AVX2 function it is instantiated in, so its
+// intrinsics would not inline.
+#[inline(always)]
+fn lstm_cell_block<V: Lanes>(z: &[f32], bias: &[f32], c: &mut [f32], h: &mut [f32], k: usize) {
+    let hd = c.len();
+    let i = sigmoid_lanes(V::load(&z[k..]) + V::load(&bias[k..]));
+    let f = sigmoid_lanes(V::load(&z[hd + k..]) + V::load(&bias[hd + k..]));
+    let g = tanh_lanes(V::load(&z[2 * hd + k..]) + V::load(&bias[2 * hd + k..]));
+    let o = sigmoid_lanes(V::load(&z[3 * hd + k..]) + V::load(&bias[3 * hd + k..]));
+    let c_new = f * V::load(&c[k..]) + i * g;
+    c_new.store(&mut c[k..]);
+    (o * tanh_lanes(c_new)).store(&mut h[k..]);
 }
 
 /// The seed's scalar kernels, kept verbatim as the correctness oracle for
@@ -511,22 +712,20 @@ mod tests {
 
     #[test]
     fn micro_kernel_cells_match_single_dot_bitwise() {
-        // Pair kernels must not change per-cell bits vs `dot` — exercised
-        // through matvec/gemm_micro shapes that hit the 2x1 and 1x2 paths.
+        // Blocked kernels must not change per-cell bits vs `dot` — on every
+        // instruction set, through shapes that hit each block size.
         for cols in [1, 4, 8, 9, 24, 64, 65] {
-            let w = vals(2 * cols, 0.23, 9.0);
-            let x0 = vals(cols, -0.11, 4.0);
-            let x1 = vals(cols, 0.37, 1.0);
-            let mut y = vec![0.0; 2];
-            matvec(&w, cols, 2, cols, &x0, &mut y);
-            assert_eq!(y[0], dot(&w[..cols], &x0), "2x1 row0 cols={cols}");
-            assert_eq!(y[1], dot(&w[cols..], &x0), "2x1 row1 cols={cols}");
-            let mut xs = x0.clone();
-            xs.extend_from_slice(&x1);
-            let mut ys = vec![0.0; 2];
-            gemm_micro(&w[..cols], cols, 1, cols, &xs, cols, 2, &mut ys);
-            assert_eq!(ys[0], dot(&w[..cols], &x0), "1x2 lane0 cols={cols}");
-            assert_eq!(ys[1], dot(&w[..cols], &x1), "1x2 lane1 cols={cols}");
+            for rows in [1, 2, 4, 5] {
+                let w = vals(rows * cols, 0.23, 9.0);
+                let xs = [vals(cols, -0.11, 4.0), vals(cols, 0.37, 1.0)].concat();
+                let mut ys = vec![0.0; 2 * rows];
+                gemm_micro(&w, cols, rows, cols, &xs, cols, 2, &mut ys);
+                for (cell, &y) in ys.iter().enumerate() {
+                    let (b, r) = (cell / rows, cell % rows);
+                    let want = dot(&w[r * cols..(r + 1) * cols], &xs[b * cols..(b + 1) * cols]);
+                    assert_eq!(y, want, "rows={rows} cols={cols} lane={b} row={r}");
+                }
+            }
         }
     }
 
@@ -554,5 +753,157 @@ mod tests {
         let mut y = vec![1.0; 3];
         matvec(&[], 0, 3, 0, &[], &mut y);
         assert_eq!(y, vec![0.0; 3]);
+    }
+
+    /// The module doc's error table, on a bit-pattern stride and a dense
+    /// sweep of the range the LSTM gates live in.
+    #[test]
+    fn nonlinearities_stay_within_the_stated_error() {
+        let strided = (0..=u32::MAX / 32_771).map(|i| f32::from_bits(i * 32_771));
+        let dense = (0..=100_000).map(|i| -20.0 + i as f32 * 4e-4);
+        let mut worst = [0.0f64; 5];
+        for x in strided.chain(dense).filter(|x| x.is_finite()) {
+            let xd = f64::from(x);
+            if (EXP_LO..=EXP_HI).contains(&x) {
+                let r = xd.exp();
+                worst[0] = worst[0].max(((f64::from(exp(x)) - r) / r).abs());
+            }
+            let r = 1.0 / (1.0 + (-xd).exp());
+            let e = (f64::from(sigmoid(x)) - r).abs();
+            worst[1] = worst[1].max(e);
+            if x >= -87.0 {
+                worst[2] = worst[2].max(e / r);
+            }
+            let r = xd.tanh();
+            let e = (f64::from(tanh(x)) - r).abs();
+            worst[3] = worst[3].max(e);
+            if x.is_normal() {
+                worst[4] = worst[4].max(e / r.abs());
+            }
+        }
+        let bounds = [1e-7, 1e-7, 2e-7, 1e-7, 2e-7];
+        for (k, (w, b)) in worst.iter().zip(bounds).enumerate() {
+            assert!(
+                w <= &b,
+                "bound {k}: worst {w:e} > {b:e} (exp rel, sigmoid abs/rel, tanh abs/rel)"
+            );
+        }
+    }
+
+    #[test]
+    fn nonlinearities_follow_the_documented_edge_rules() {
+        let nan_bits = f32::NAN.to_bits();
+        for nan in [
+            f32::NAN,
+            -f32::NAN,
+            f32::from_bits(0x7F80_0001),
+            f32::from_bits(0xFFC1_2345),
+        ] {
+            for act in Activation::ALL {
+                assert_eq!(act.of(nan).to_bits(), nan_bits, "{act:?}({nan:?})");
+            }
+        }
+        assert_eq!(exp(f32::INFINITY), exp(EXP_HI));
+        assert_eq!(exp(f32::NEG_INFINITY), exp(EXP_LO));
+        assert!(exp(EXP_HI).is_finite() && exp(EXP_HI) > 2.4e38);
+        assert!(exp(EXP_LO) > 1.1e-38);
+        assert_eq!(exp(0.0), 1.0);
+        assert_eq!(exp(-0.0), 1.0);
+        assert_eq!(sigmoid(0.0), 0.5);
+        assert_eq!(sigmoid(f32::INFINITY), 1.0);
+        assert!(sigmoid(f32::NEG_INFINITY) > 0.0 && sigmoid(f32::NEG_INFINITY) < 1e-38);
+        assert_eq!(tanh(f32::INFINITY), 1.0);
+        assert_eq!(tanh(f32::NEG_INFINITY), -1.0);
+        assert_eq!(tanh(0.0).to_bits(), 0.0f32.to_bits());
+        assert_eq!(tanh(-0.0).to_bits(), (-0.0f32).to_bits());
+        let tiny = f32::from_bits(1);
+        assert_eq!(tanh(tiny), tiny);
+        // exactly odd, on both sides of the branch split
+        for x in [1e-3f32, 0.3, 0.624_999_9, TANH_SPLIT, 0.7, 3.0, 9.5, 40.0] {
+            assert_eq!(tanh(-x).to_bits(), (-tanh(x)).to_bits(), "x={x}");
+        }
+    }
+
+    /// Every instruction set the CPU has computes the portable bits, for
+    /// the edge values the module doc specifies and a bit-pattern sweep;
+    /// the vector bodies must also survive vectors mixing the two `tanh`
+    /// branches and NaN with ordinary lanes.
+    #[test]
+    fn instruction_sets_match_the_portable_nonlinearities() {
+        let mut xs = vec![
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            f32::from_bits(0xFFC0_0001),
+            f32::from_bits(1),
+            f32::from_bits(0x8000_0001),
+            f32::MIN_POSITIVE,
+            f32::MAX,
+            f32::MIN,
+            EXP_HI,
+            EXP_LO,
+            TANH_SPLIT,
+            -TANH_SPLIT,
+            0.624_999_9,
+        ];
+        for e in [EXP_HI, EXP_LO, -EXP_HI, -EXP_LO, TANH_SPLIT] {
+            xs.extend([
+                f32::from_bits(e.to_bits() - 1),
+                f32::from_bits(e.to_bits() + 1),
+            ]);
+        }
+        xs.extend((0..=u32::MAX / 65_537).map(|i| f32::from_bits(i.wrapping_mul(65_537 * 7))));
+        xs.extend((0..4000).map(|i| (i as f32 - 2000.0) * 0.013));
+        for act in Activation::ALL {
+            let want: Vec<u32> = xs.iter().map(|&x| act.of(x).to_bits()).collect();
+            let mut got = xs.clone();
+            act.apply(&mut got);
+            assert_eq!(bits(&got), want, "dispatched {act:?}");
+            #[cfg(target_arch = "x86_64")]
+            {
+                let mut got = xs.clone();
+                Sse2.apply(act, &mut got);
+                assert_eq!(bits(&got), want, "SSE2 {act:?}");
+                match Avx2::detect() {
+                    Some(avx2) => {
+                        let mut got = xs.clone();
+                        avx2.apply(act, &mut got);
+                        assert_eq!(bits(&got), want, "AVX2 {act:?}");
+                    }
+                    None => eprintln!("note: CPU has no AVX2; AVX2 {act:?} not checked"),
+                }
+            }
+        }
+    }
+
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn lstm_cell_is_bit_identical_on_every_instruction_set() {
+        for hidden in [1, 3, 4, 8, 12, 64, 67] {
+            let z = vals(4 * hidden, 0.37, (2 * hidden) as f32);
+            let bias = vals(4 * hidden, -0.05, 7.0);
+            let c0 = vals(hidden, 0.21, 3.0);
+            let (mut c_want, mut h_want) = (c0.clone(), vec![0.0; hidden]);
+            lstm_cell_with::<f32>(&z, &bias, &mut c_want, &mut h_want);
+            let check = |name: &str, run: &dyn Fn(&mut [f32], &mut [f32])| {
+                let (mut c, mut h) = (c0.clone(), vec![f32::NAN; hidden]);
+                run(&mut c, &mut h);
+                assert_eq!(bits(&c), bits(&c_want), "{name} c hidden={hidden}");
+                assert_eq!(bits(&h), bits(&h_want), "{name} h hidden={hidden}");
+            };
+            check("dispatched", &|c, h| lstm_cell(&z, &bias, c, h));
+            #[cfg(target_arch = "x86_64")]
+            {
+                check("SSE2", &|c, h| Sse2.lstm_cell(&z, &bias, c, h));
+                if let Some(avx2) = Avx2::detect() {
+                    check("AVX2", &|c, h| avx2.lstm_cell(&z, &bias, c, h));
+                }
+            }
+        }
     }
 }

@@ -13,7 +13,7 @@
 //! [`crate::pack`], so raw and packed inference share one accumulation
 //! order and stay bit-identical.
 
-use crate::ops::{self, kernels, sigmoid};
+use crate::ops::{self, kernels, sigmoid, tanh};
 use crate::param::Param;
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
@@ -36,33 +36,10 @@ pub struct GruScratch {
     pub(crate) r: Vec<f32>,
 }
 
-/// Adds the bias into the `4H` pre-activations and applies the LSTM gate
-/// element-wise math for one lane: `c ← f⊙c + i⊙g`, `h ← o⊙tanh(c)`.
-/// Exactly the expressions of [`LstmCell::forward`], shared by the raw and
-/// packed batched/scalar step paths so all four are bit-identical.
-#[inline]
-pub(crate) fn lstm_gate_fuse(z: &mut [f32], bias: &[f32], c: &mut [f32], h: &mut [f32]) {
-    let hd = c.len();
-    debug_assert_eq!(z.len(), 4 * hd);
-    debug_assert_eq!(bias.len(), 4 * hd);
-    debug_assert_eq!(h.len(), hd);
-    for (zi, bi) in z.iter_mut().zip(bias) {
-        *zi += bi;
-    }
-    for k in 0..hd {
-        let i = sigmoid(z[k]);
-        let f = sigmoid(z[hd + k]);
-        let g = z[2 * hd + k].tanh();
-        let o = sigmoid(z[3 * hd + k]);
-        let new_c = f * c[k] + i * g;
-        c[k] = new_c;
-        h[k] = o * new_c.tanh();
-    }
-}
-
 /// Scalar LSTM inference step over a strided weight matrix (`stride ==
 /// input + hidden` for raw weights; the padded stride for packed ones).
-/// Advances `state` in place; allocation-free once `scratch` is warm.
+/// Advances `state` in place; allocation-free once `scratch` is warm. The
+/// gate buffer is sized once: the mat-vec overwrites every cell.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn lstm_infer_step_strided(
     w: &[f32],
@@ -79,7 +56,6 @@ pub(crate) fn lstm_infer_step_strided(
     scratch.xh.clear();
     scratch.xh.extend_from_slice(x);
     scratch.xh.extend_from_slice(&state.h);
-    scratch.gates.clear();
     scratch.gates.resize(4 * hidden, 0.0);
     kernels::matvec(
         w,
@@ -89,7 +65,7 @@ pub(crate) fn lstm_infer_step_strided(
         &scratch.xh,
         &mut scratch.gates,
     );
-    lstm_gate_fuse(&mut scratch.gates, bias, &mut state.c, &mut state.h);
+    kernels::lstm_cell(&scratch.gates, bias, &mut state.c, &mut state.h);
 }
 
 /// Batched LSTM inference step over a strided weight matrix; see
@@ -110,7 +86,6 @@ pub(crate) fn lstm_infer_step_batch_strided(
     debug_assert_eq!(xh.len(), batch * (input + hidden));
     debug_assert_eq!(c.len(), batch * hidden);
     debug_assert_eq!(h.len(), batch * hidden);
-    z_scratch.clear();
     z_scratch.resize(batch * 4 * hidden, 0.0);
     kernels::gemm_micro(
         w,
@@ -123,8 +98,8 @@ pub(crate) fn lstm_infer_step_batch_strided(
         z_scratch,
     );
     for b in 0..batch {
-        lstm_gate_fuse(
-            &mut z_scratch[b * 4 * hidden..(b + 1) * 4 * hidden],
+        kernels::lstm_cell(
+            &z_scratch[b * 4 * hidden..(b + 1) * 4 * hidden],
             bias,
             &mut c[b * hidden..(b + 1) * hidden],
             &mut h[b * hidden..(b + 1) * hidden],
@@ -156,9 +131,7 @@ pub(crate) fn gru_infer_step_strided(
     scratch.xh.clear();
     scratch.xh.extend_from_slice(x);
     scratch.xh.extend_from_slice(h_prev);
-    scratch.z.clear();
     scratch.z.resize(hidden, 0.0);
-    scratch.r.clear();
     scratch.r.resize(hidden, 0.0);
     kernels::matvec(wz.0, wz.1, hidden, cols, &scratch.xh, &mut scratch.z);
     kernels::matvec(wr.0, wr.1, hidden, cols, &scratch.xh, &mut scratch.r);
@@ -171,11 +144,10 @@ pub(crate) fn gru_infer_step_strided(
     scratch
         .xrh
         .extend(scratch.r.iter().zip(h_prev).map(|(rk, hk)| rk * hk));
-    h_new.clear();
     h_new.resize(hidden, 0.0);
     kernels::matvec(wn.0, wn.1, hidden, cols, &scratch.xrh, h_new);
     for k in 0..hidden {
-        h_new[k] = (h_new[k] + bn[k]).tanh();
+        h_new[k] = tanh(h_new[k] + bn[k]);
     }
     for k in 0..hidden {
         h_new[k] = (1.0 - scratch.z[k]) * h_new[k] + scratch.z[k] * h_prev[k];
@@ -271,7 +243,7 @@ impl LstmCell {
         for k in 0..h {
             i[k] = sigmoid(z[k]);
             f[k] = sigmoid(z[h + k]);
-            g[k] = z[2 * h + k].tanh();
+            g[k] = tanh(z[2 * h + k]);
             o[k] = sigmoid(z[3 * h + k]);
         }
         let mut c = vec![0.0; h];
@@ -279,7 +251,7 @@ impl LstmCell {
         let mut tanh_c = vec![0.0; h];
         for k in 0..h {
             c[k] = f[k] * prev.c[k] + i[k] * g[k];
-            tanh_c[k] = c[k].tanh();
+            tanh_c[k] = tanh(c[k]);
             hv[k] = o[k] * tanh_c[k];
         }
         (
@@ -321,7 +293,8 @@ impl LstmCell {
     ///   concatenated with its previous hidden vector;
     /// * `c` — `batch × hidden` cell states, updated in place;
     /// * `h` — `batch × hidden` output hidden vectors, overwritten;
-    /// * `z_scratch` — reusable gate buffer (resized to `batch × 4·hidden`).
+    /// * `z_scratch` — reusable gate buffer (resized to `batch × 4·hidden`,
+    ///   never zeroed: the mat-vec overwrites every cell).
     ///
     /// Per-lane results are **bit-identical** to [`LstmCell::forward`]
     /// (same kernel accumulation order, same element-wise gate
@@ -468,7 +441,7 @@ impl GruCell {
         let mut n = vec![0.0; h];
         ops::matvec(&self.wn.value, h, self.input + h, &xrh, &mut n);
         for (nk, bk) in n.iter_mut().zip(&self.bn.value) {
-            *nk = (*nk + bk).tanh();
+            *nk = tanh(*nk + bk);
         }
         let h_new: Vec<f32> = (0..h)
             .map(|k| (1.0 - z[k]) * n[k] + z[k] * h_prev[k])

@@ -14,7 +14,14 @@
 //! 3. `matvec` / `matvec_t_acc` remain numerically adjoint
 //!    (`⟨Wx, g⟩ ≈ ⟨x, Wᵀg⟩`), which is what keeps training gradients
 //!    honest on top of the vectorized forward kernels.
+//!
+//! And every instruction set computes the portable definition's bits: the
+//! SSE2 and AVX2 mat-vecs equal `dot_portable` cell by cell, and the owned
+//! `exp` / `sigmoid` / `tanh` equal their portable definitions over
+//! arbitrary `f32` bit patterns. Each implementation is called directly;
+//! the AVX2 arms are skipped, with a note, on a CPU without AVX2.
 
+use nn::ops::kernels::Activation;
 use nn::ops::{self, kernels};
 use nn::pack::{PackedGru, PackedLinear, PackedLstm, PackedWeights};
 use nn::rnn::{GruScratch, LstmScratch, LstmState};
@@ -33,6 +40,31 @@ fn values(n: usize, seed: u64) -> Vec<f32> {
             ((s >> 40) as f32 / (1u64 << 24) as f32) * 8.0 - 4.0
         })
         .collect()
+}
+
+/// `dot_portable` per cell: the definition every mat-vec path must match.
+#[allow(clippy::too_many_arguments)]
+fn gemm_by_definition(
+    w: &[f32],
+    w_stride: usize,
+    rows: usize,
+    cols: usize,
+    xs: &[f32],
+    x_stride: usize,
+    batch: usize,
+) -> Vec<f32> {
+    let mut ys = Vec::with_capacity(batch * rows);
+    for b in 0..batch {
+        let x = &xs[b * x_stride..b * x_stride + cols];
+        ys.extend(
+            (0..rows).map(|r| kernels::dot_portable(&w[r * w_stride..r * w_stride + cols], x)),
+        );
+    }
+    ys
+}
+
+fn bits(xs: &[f32]) -> Vec<u32> {
+    xs.iter().map(|x| x.to_bits()).collect()
 }
 
 proptest! {
@@ -157,6 +189,96 @@ proptest! {
         linear.infer(&x, &mut y0);
         plin.infer(&x, &mut y1);
         prop_assert_eq!(&y0, &y1);
+    }
+
+    /// SSE2 and AVX2 `matvec` / `gemm_micro` equal `dot_portable` in every
+    /// cell: `cols % 8 != 0`, odd `rows`, batch 0..5, padded strides (the
+    /// padding is NaN, so reading it would show).
+    #[test]
+    fn every_gemm_path_equals_dot_portable(
+        rows in 1usize..19,
+        cols in 1usize..42,
+        (batch, w_pad, x_pad) in (0usize..6, 0usize..9, 0usize..5),
+        seed in 0u64..1_000_000,
+    ) {
+        let (w_stride, x_stride) = (cols + w_pad, cols + x_pad);
+        let mut w = vec![f32::NAN; rows * w_stride];
+        for (r, v) in values(rows * cols, seed).chunks(cols).enumerate() {
+            w[r * w_stride..r * w_stride + cols].copy_from_slice(v);
+        }
+        let mut xs = vec![f32::NAN; batch.max(1) * x_stride];
+        for (b, v) in values(batch.max(1) * cols, seed ^ 0x77).chunks(cols).enumerate() {
+            xs[b * x_stride..b * x_stride + cols].copy_from_slice(v);
+        }
+        let want = gemm_by_definition(&w, w_stride, rows, cols, &xs, x_stride, batch);
+        let want_mv = gemm_by_definition(&w, w_stride, rows, cols, &xs, x_stride, 1);
+        let x = &xs[..cols];
+        let mut ys = vec![f32::NAN; batch * rows];
+        let mut y = vec![f32::NAN; rows];
+        kernels::gemm_micro(&w, w_stride, rows, cols, &xs, x_stride, batch, &mut ys);
+        kernels::matvec(&w, w_stride, rows, cols, x, &mut y);
+        prop_assert!(bits(&ys) == bits(&want), "dispatched gemm_micro differs");
+        prop_assert!(bits(&y) == bits(&want_mv), "dispatched matvec differs");
+
+        #[cfg(target_arch = "x86_64")]
+        {
+            ys.fill(f32::NAN);
+            y.fill(f32::NAN);
+            kernels::Sse2.gemm_micro(&w, w_stride, rows, cols, &xs, x_stride, batch, &mut ys);
+            kernels::Sse2.matvec(&w, w_stride, rows, cols, x, &mut y);
+            prop_assert!(bits(&ys) == bits(&want), "SSE2 gemm_micro differs");
+            prop_assert!(bits(&y) == bits(&want_mv), "SSE2 matvec differs");
+            if let Some(avx2) = kernels::Avx2::detect() {
+                ys.fill(f32::NAN);
+                y.fill(f32::NAN);
+                avx2.gemm_micro(&w, w_stride, rows, cols, &xs, x_stride, batch, &mut ys);
+                avx2.matvec(&w, w_stride, rows, cols, x, &mut y);
+                prop_assert!(bits(&ys) == bits(&want), "AVX2 gemm_micro differs");
+                prop_assert!(bits(&y) == bits(&want_mv), "AVX2 matvec differs");
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The owned non-linearities: SSE2 and AVX2 equal the portable
+    /// definition bit for bit on arbitrary `f32` bit patterns (NaNs of any
+    /// payload, infinities, subnormals and both saturation edges included),
+    /// in vectors that mix them with ordinary lanes.
+    #[test]
+    fn nonlinearities_are_bit_identical_on_every_instruction_set(
+        raw in collection::vec(0u32..u32::MAX, 1..40),
+        near in collection::vec(-30.0f32..30.0, 0..24),
+    ) {
+        let mut xs: Vec<f32> = raw.into_iter().map(f32::from_bits).collect();
+        xs.extend(near);
+        for act in Activation::ALL {
+            let want: Vec<u32> = xs.iter().map(|&x| act.of(x).to_bits()).collect();
+            let mut got = xs.clone();
+            act.apply(&mut got);
+            prop_assert!(bits(&got) == want, "dispatched {:?} differs", act);
+            #[cfg(target_arch = "x86_64")]
+            {
+                let mut got = xs.clone();
+                kernels::Sse2.apply(act, &mut got);
+                prop_assert!(bits(&got) == want, "SSE2 {:?} differs", act);
+                if let Some(avx2) = kernels::Avx2::detect() {
+                    let mut got = xs.clone();
+                    avx2.apply(act, &mut got);
+                    prop_assert!(bits(&got) == want, "AVX2 {:?} differs", act);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn avx2_availability_is_reported() {
+    #[cfg(target_arch = "x86_64")]
+    if kernels::Avx2::detect().is_none() {
+        eprintln!("note: this CPU has no AVX2; the AVX2 arms of tests/kernels.rs were skipped");
     }
 }
 
