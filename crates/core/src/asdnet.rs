@@ -68,12 +68,7 @@ impl AsdNet {
     pub fn action_probs(&self, state: &[f32]) -> [f32; 2] {
         let mut logits = vec![0.0; 2];
         self.policy.infer(state, &mut logits);
-        Self::probs_from_logits([logits[0], logits[1]])
-    }
-
-    /// Action probabilities from the policy head's raw logits.
-    pub fn probs_from_logits(logits: [f32; 2]) -> [f32; 2] {
-        ops::softmax2(logits)
+        ops::softmax2([logits[0], logits[1]])
     }
 
     /// Greedy action from raw logits: the larger logit wins (softmax is

@@ -825,8 +825,8 @@ impl StreamEngine {
                 );
             }
 
-            // Phase 3: one batched head pass for the block's lanes whose label was not
-            // fixed by endpoint pinning or RNEL.
+            // Phase 3: one batched head pass for the block's lanes whose
+            // label was not fixed by endpoint pinning or RNEL.
             let z_dim = view.rsrnet.z_dim();
             self.scratch.policy_lanes.clear();
             self.scratch.policy_lanes.extend(
