@@ -1,12 +1,12 @@
 //! `hotswap` — serving cost of zero-downtime model hot-swap, written to
 //! `BENCH_hotswap.json`.
 //!
-//! Drives a live [`rl4oasd::IngestEngine`] with closed-loop producers (the
-//! `--bin ingest` workload) while a publisher thread hot-swaps the serving
+//! Drives a live [`rl4oasd::IngestEngine`] with closed-loop producers
+//! while a publisher thread hot-swaps the serving
 //! model through [`rl4oasd::SwapModel::swap_model`], and reports sustained
 //! points/sec + p50/p99 submit→label latency per mode:
 //!
-//! * `baseline` — no swaps (the `--bin ingest` numbers for this config);
+//! * `baseline` — no swaps (the front door's own cost for this config);
 //! * `swap_Nms` — a prebuilt second model republished every N ms: measures
 //!   the pure swap overhead (queue broadcast + flush-boundary apply +
 //!   epoch bookkeeping) at an absurdly hot cadence;
@@ -99,8 +99,8 @@ fn open_lane(
     }
 }
 
-/// Closed-loop producer (same shape as `--bin ingest`): `lanes` concurrent
-/// trips, one point per lane per round, recycling finished trips.
+/// Closed-loop producer: `lanes` concurrent trips, one point per lane per
+/// round, recycling finished trips.
 fn produce(
     handle: IngestHandle<StreamEngine>,
     trajs: Arc<Vec<MappedTrajectory>>,

@@ -13,7 +13,6 @@
 
 pub mod experiments;
 pub mod figures;
-pub mod throughput;
 
 use baselines::{
     ctss_engine, dbtod_engine, iboat_engine, sharded_ctss_engine, sharded_dbtod_engine,

@@ -86,13 +86,6 @@ impl AsdNet {
         u8::from(rng.gen::<f32>() >= p[0])
     }
 
-    /// Greedy action (inference).
-    pub fn greedy(&self, state: &[f32]) -> u8 {
-        let mut logits = vec![0.0; 2];
-        self.policy.infer(state, &mut logits);
-        Self::greedy_from_logits([logits[0], logits[1]])
-    }
-
     /// The local (continuity) reward of Eq. 2 for consecutive
     /// representations and labels.
     pub fn local_reward(prev_label: u8, label: u8, z_prev: &[f32], z: &[f32]) -> f32 {

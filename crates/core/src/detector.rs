@@ -179,7 +179,7 @@ impl SessionState {
     /// One full scalar step: NRF, RSRNet stream step, decision, commit.
     /// This *is* the per-trajectory path; the engine's batched tick differs
     /// only in running the nn passes for many sessions at once
-    /// (bit-identically — see `RsrNet::stream_step_batch_packed`). All nn
+    /// (bit-identically — see `RsrNet::stream_step_batch`). All nn
     /// work runs on the packed weights with the caller's reusable
     /// [`StepScratch`], so a warm session allocates nothing per point.
     pub fn observe(
@@ -190,7 +190,7 @@ impl SessionState {
         scratch: &mut StepScratch,
     ) -> u8 {
         let (nrf, is_endpoint) = self.pre_step(view, segment);
-        view.rsrnet.stream_step_packed(
+        view.rsrnet.stream_step(
             &view.packed.lstm,
             &mut self.stream,
             segment,

@@ -20,11 +20,11 @@
 //!   `hidden_dim` vectors and nothing else;
 //! * **batched ticks** — [`StreamEngine::observe_batch`] advances every
 //!   session that received a point in the same tick through *one* LSTM
-//!   matrix pass (`RsrNet::stream_step_batch`) and one policy-head pass,
-//!   instead of N scalar passes. The batched kernels use the exact
-//!   accumulation order of the scalar path, so labels are **bit-identical**
-//!   to driving each trajectory alone through
-//!   [`Rl4oasdDetector`](crate::Rl4oasdDetector) — interleaving never
+//!   pass over the packed gate matrix (`RsrNet::stream_step_batch`) and
+//!   one policy-head pass, instead of N scalar passes. The batched
+//!   kernels use the exact accumulation order of the scalar path, so
+//!   labels are **bit-identical** to driving each trajectory alone
+//!   through [`Rl4oasdDetector`](crate::Rl4oasdDetector) — interleaving never
 //!   changes results (property-tested in `tests/engine.rs`).
 //!
 //! The engine implements [`traj::SessionEngine`]; wrap it in
@@ -816,7 +816,7 @@ impl StreamEngine {
                     .iter_mut()
                     .map(|(_, _, state, _)| state.stream_mut())
                     .collect();
-                view.rsrnet.stream_step_batch_packed(
+                view.rsrnet.stream_step_batch(
                     &view.packed.lstm,
                     &mut self.scratch.rsr,
                     &self.scratch.inputs,

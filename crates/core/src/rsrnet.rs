@@ -64,8 +64,8 @@ impl RsrStream {
     }
 }
 
-/// Reusable scratch buffers for [`RsrNet::stream_step_batch`], so a serving
-/// engine allocates nothing per tick once warm.
+/// Reusable gather/scatter buffers for [`RsrNet::stream_step_batch`], so a
+/// serving engine allocates nothing per round once warm.
 #[derive(Debug, Default)]
 pub struct RsrBatch {
     xh: Vec<f32>,
@@ -223,21 +223,12 @@ impl RsrNet {
         }
     }
 
-    /// One streaming step: consumes a segment and its NRF, returns `z_i`.
-    pub fn stream_step(&self, stream: &mut RsrStream, seg: SegmentId, nrf: u8) -> Vec<f32> {
-        let x = self.embed.lookup(seg.idx());
-        let (next, _ctx) = self.lstm.forward(x, &stream.state);
-        stream.state = next;
-        ops::concat(&stream.state.h, self.nrf_embed.lookup(nrf as usize))
-    }
-
-    /// [`RsrNet::stream_step`] on packed weights, allocation-free: the
-    /// LSTM advances through `lstm` (the packed form of `self.lstm`) with
-    /// reusable scratch, and `z_i` is written into `z`. Bit-identical to
-    /// `stream_step` — packing changes layout, not values or reduction
-    /// order — so packed serving sessions and raw-weight paths can be
-    /// compared byte-for-byte.
-    pub fn stream_step_packed(
+    /// One streaming step on packed weights, allocation-free: consumes a
+    /// segment and its NRF, advances the LSTM through `lstm` (the packed
+    /// form of `self.lstm`) with reusable scratch, and writes `z_i` into
+    /// `z`. Bit-identical to [`RsrNet::forward`]'s `z_i` — packing changes
+    /// layout, not values or reduction order.
+    pub fn stream_step(
         &self,
         lstm: &PackedLstm,
         stream: &mut RsrStream,
@@ -253,10 +244,11 @@ impl RsrNet {
     }
 
     /// Batched streaming step: advances `inputs.len()` independent streams
-    /// in one LSTM matrix pass, writing each lane's `z_i` into the flat
-    /// `batch × z_dim` row-major `zs` buffer (cleared first; lane `i`'s
-    /// representation is `zs[i*z_dim..(i+1)*z_dim]`). The flat layout keeps
-    /// the serving hot path allocation-free once buffers are warm.
+    /// in one pass over the packed LSTM gate matrix `lstm`, writing each
+    /// lane's `z_i` into the flat `batch × z_dim` row-major `zs` buffer
+    /// (cleared first; lane `i`'s representation is
+    /// `zs[i*z_dim..(i+1)*z_dim]`). The flat layout keeps the serving hot
+    /// path allocation-free once buffers are warm.
     ///
     /// Per-lane results are **bit-identical** to [`RsrNet::stream_step`] —
     /// the batched LSTM kernel uses the same accumulation order — so a
@@ -267,43 +259,11 @@ impl RsrNet {
     /// Panics if `inputs` and `streams` have different lengths.
     pub fn stream_step_batch(
         &self,
-        scratch: &mut RsrBatch,
-        inputs: &[(SegmentId, u8)],
-        streams: &mut [&mut RsrStream],
-        zs: &mut Vec<f32>,
-    ) {
-        self.stream_step_batch_impl(scratch, inputs, streams, zs, |batch, xh, c, h, z| {
-            self.lstm.infer_step_batch(batch, xh, c, h, z)
-        })
-    }
-
-    /// [`RsrNet::stream_step_batch`] on packed weights: identical gather /
-    /// scatter, with the LSTM matrix pass running through `lstm` (the
-    /// packed form of `self.lstm`). Bit-identical per lane to both the raw
-    /// batched path and [`RsrNet::stream_step_packed`].
-    pub fn stream_step_batch_packed(
-        &self,
         lstm: &PackedLstm,
         scratch: &mut RsrBatch,
         inputs: &[(SegmentId, u8)],
         streams: &mut [&mut RsrStream],
         zs: &mut Vec<f32>,
-    ) {
-        self.stream_step_batch_impl(scratch, inputs, streams, zs, |batch, xh, c, h, z| {
-            lstm.infer_step_batch(batch, xh, c, h, z)
-        })
-    }
-
-    /// Shared body of the batched streaming step, parameterised by the
-    /// LSTM kernel (raw or packed) so both variants share one
-    /// gather/scatter path.
-    fn stream_step_batch_impl(
-        &self,
-        scratch: &mut RsrBatch,
-        inputs: &[(SegmentId, u8)],
-        streams: &mut [&mut RsrStream],
-        zs: &mut Vec<f32>,
-        step: impl FnOnce(usize, &[f32], &mut [f32], &mut [f32], &mut Vec<f32>),
     ) {
         assert_eq!(inputs.len(), streams.len(), "lane count mismatch");
         let batch = inputs.len();
@@ -317,7 +277,7 @@ impl RsrNet {
         }
         scratch.h.clear();
         scratch.h.resize(batch * hidden, 0.0);
-        step(
+        lstm.infer_step_batch(
             batch,
             &scratch.xh,
             &mut scratch.c,
@@ -335,14 +295,6 @@ impl RsrNet {
             zs.extend_from_slice(h);
             zs.extend_from_slice(self.nrf_embed.lookup(nrf as usize));
         }
-    }
-
-    /// Label probabilities for a representation `z` (used by the
-    /// "w/o ASDNet" ablation, which classifies directly from RSRNet).
-    pub fn classify(&self, z: &[f32]) -> [f32; 2] {
-        let mut logits = vec![0.0; 2];
-        self.head.infer(z, &mut logits);
-        ops::softmax2([logits[0], logits[1]])
     }
 }
 
@@ -419,70 +371,72 @@ mod tests {
         );
     }
 
+    /// The model-level bridge: the packed streaming step reproduces the
+    /// training forward's representations bit for bit.
     #[test]
     fn stream_matches_batch_forward() {
         let net = tiny_net(4);
+        let lstm = PackedLstm::of(&net.lstm);
         let (segs, nrf, _) = toy_batch();
         let fwd = net.forward(&segs, &nrf);
         let mut stream = net.stream();
+        let mut scratch = LstmScratch::default();
+        let mut z = Vec::new();
         for i in 0..segs.len() {
-            let z = net.stream_step(&mut stream, segs[i], nrf[i]);
-            for (a, b) in z.iter().zip(&fwd.zs[i]) {
-                assert!((a - b).abs() < 1e-6);
-            }
+            net.stream_step(&lstm, &mut stream, segs[i], nrf[i], &mut scratch, &mut z);
+            assert_eq!(z, fwd.zs[i], "position {i}");
         }
     }
 
     #[test]
     fn stream_step_batch_matches_scalar_bitwise() {
         let net = tiny_net(8);
+        let lstm = PackedLstm::of(&net.lstm);
         let (segs, nrf, _) = toy_batch();
+        let mut lstm_scratch = LstmScratch::default();
+        let mut z = Vec::new();
         // Three lanes at different positions of the same toy trajectory.
         let mut scalar: Vec<RsrStream> = (0..3).map(|_| net.stream()).collect();
-        let mut batched: Vec<RsrStream> = (0..3).map(|_| net.stream()).collect();
         for (lane, s) in scalar.iter_mut().enumerate() {
             for i in 0..lane {
-                net.stream_step(s, segs[i], nrf[i]);
+                net.stream_step(&lstm, s, segs[i], nrf[i], &mut lstm_scratch, &mut z);
             }
         }
-        for (lane, s) in batched.iter_mut().enumerate() {
-            for i in 0..lane {
-                net.stream_step(s, segs[i], nrf[i]);
-            }
-        }
+        let mut batched = scalar.clone();
         // Advance all three lanes twice: once scalar, once batched.
         let mut scratch = RsrBatch::default();
         for step in 0..2 {
             let inputs: Vec<(SegmentId, u8)> = (0..3)
                 .map(|lane| (segs[lane + step], nrf[lane + step]))
                 .collect();
-            let scalar_zs: Vec<Vec<f32>> = scalar
-                .iter_mut()
-                .enumerate()
-                .map(|(lane, s)| net.stream_step(s, inputs[lane].0, inputs[lane].1))
-                .collect();
             let mut streams: Vec<&mut RsrStream> = batched.iter_mut().collect();
             let mut zs = Vec::new();
-            net.stream_step_batch(&mut scratch, &inputs, &mut streams, &mut zs);
+            net.stream_step_batch(&lstm, &mut scratch, &inputs, &mut streams, &mut zs);
             let z_dim = net.z_dim();
-            for (lane, scalar_z) in scalar_zs.iter().enumerate() {
+            for (lane, s) in scalar.iter_mut().enumerate() {
+                let (seg, nrf) = inputs[lane];
+                net.stream_step(&lstm, s, seg, nrf, &mut lstm_scratch, &mut z);
                 assert_eq!(
                     &zs[lane * z_dim..(lane + 1) * z_dim],
-                    &scalar_z[..],
+                    &z[..],
                     "step {step} lane {lane}"
                 );
             }
         }
     }
 
+    /// The "w/o ASDNet" ablation classifies `z` through the packed RSRNet
+    /// head; its probabilities are the training forward's.
     #[test]
     fn classify_matches_forward_probs() {
         let net = tiny_net(5);
+        let head = nn::PackedLinear::of(&net.head);
         let (segs, nrf, _) = toy_batch();
         let fwd = net.forward(&segs, &nrf);
         for i in 0..segs.len() {
-            let p = net.classify(&fwd.zs[i]);
-            assert!((p[0] - fwd.probs[i][0]).abs() < 1e-6);
+            let mut logits = [0.0f32; 2];
+            head.infer(&fwd.zs[i], &mut logits);
+            assert_eq!(ops::softmax2(logits), fwd.probs[i], "position {i}");
         }
     }
 

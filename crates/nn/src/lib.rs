@@ -35,6 +35,6 @@ pub mod rnn;
 
 pub use embedding::Embedding;
 pub use linear::{Linear, LinearCtx};
-pub use pack::{PackedGru, PackedLinear, PackedLstm, PackedWeights};
+pub use pack::{GruScratch, LstmScratch, PackedGru, PackedLinear, PackedLstm, PackedWeights};
 pub use param::Param;
-pub use rnn::{GruCell, GruCtx, GruScratch, LstmCell, LstmCtx, LstmScratch, LstmState};
+pub use rnn::{GruCell, GruCtx, LstmCell, LstmCtx, LstmState};

@@ -49,25 +49,13 @@ impl Linear {
         (y, LinearCtx { x: x.to_vec() })
     }
 
-    /// Forward pass without keeping a context (inference only).
+    /// Forward pass without keeping a context: training-time inference
+    /// (ASDNet's action probabilities, the VSAE baselines' heads). Serving
+    /// runs on [`crate::PackedLinear`].
     pub fn infer(&self, x: &[f32], y: &mut [f32]) {
         ops::matvec(&self.w.value, self.w.rows, self.w.cols, x, y);
         for (yi, bi) in y.iter_mut().zip(&self.b.value) {
             *yi += bi;
-        }
-    }
-
-    /// Batched inference: `xs` holds `batch` input rows (`batch × in_dim`,
-    /// row-major); writes `batch × out_dim` into `ys`. Bit-identical to
-    /// `batch` independent [`Linear::infer`] calls (same accumulation
-    /// order), but walks the weight matrix once for all lanes.
-    pub fn infer_batch(&self, xs: &[f32], batch: usize, ys: &mut [f32]) {
-        let out = self.out_dim();
-        ops::matvec_batch(&self.w.value, self.w.rows, self.w.cols, xs, batch, ys);
-        for b in 0..batch {
-            for (yi, bi) in ys[b * out..(b + 1) * out].iter_mut().zip(&self.b.value) {
-                *yi += bi;
-            }
         }
     }
 
@@ -117,19 +105,6 @@ mod tests {
         let mut y2 = vec![0.0; 4];
         l.infer(&x, &mut y2);
         assert_eq!(y, y2);
-    }
-
-    #[test]
-    fn infer_batch_matches_scalar_bitwise() {
-        let l = Linear::new(3, 4, &mut seeded_rng(7));
-        let xs: Vec<f32> = (0..9).map(|i| (i as f32 - 4.0) * 0.33).collect();
-        let mut ys = vec![0.0; 12];
-        l.infer_batch(&xs, 3, &mut ys);
-        for b in 0..3 {
-            let mut y = vec![0.0; 4];
-            l.infer(&xs[b * 3..(b + 1) * 3], &mut y);
-            assert_eq!(&ys[b * 4..(b + 1) * 4], &y[..], "lane {b}");
-        }
     }
 
     /// Loss = sum(tanh(y)); analytic gradients must match finite

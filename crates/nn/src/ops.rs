@@ -1,9 +1,9 @@
 //! Numeric primitives: activations, softmax/cross-entropy, cosine
 //! similarity and small vector helpers.
 //!
-//! The dot-product-shaped entry points ([`dot`], [`matvec`],
-//! [`matvec_batch`]) are thin wrappers over the vectorized [`kernels`]
-//! layer and share its fixed reduction order, and the activations
+//! The dot-product-shaped entry points ([`dot`], [`matvec`]) are thin
+//! wrappers over the vectorized [`kernels`] layer and share its fixed
+//! reduction order, and the activations
 //! ([`exp`], [`sigmoid`], [`tanh`]) *are* the kernel layer's owned
 //! non-linearities — the one definition training and serving share; see
 //! the module docs there for why that keeps the repo's bit-identity
@@ -108,22 +108,6 @@ pub fn matvec(w: &[f32], rows: usize, cols: usize, x: &[f32], y: &mut [f32]) {
     kernels::matvec(w, cols, rows, cols, x, y)
 }
 
-/// Batched matrix–vector product: for each of `batch` input row-vectors
-/// `x_b` (`cols` wide, row-major in `xs`), computes `y_b = W x_b` into the
-/// `batch × rows` row-major `ys`.
-///
-/// Implemented on [`kernels::gemm_micro`], whose every output cell uses
-/// the same fixed reduction order as [`dot`], so results are
-/// **bit-identical** to `batch` independent [`matvec`] calls — the
-/// register blocking only changes which cells are in flight, never the
-/// order of additions within a cell (the invariant the stream engine's
-/// batched tick relies on).
-pub fn matvec_batch(w: &[f32], rows: usize, cols: usize, xs: &[f32], batch: usize, ys: &mut [f32]) {
-    debug_assert_eq!(w.len(), rows * cols);
-    debug_assert_eq!(xs.len(), batch * cols);
-    kernels::gemm_micro(w, cols, rows, cols, xs, cols, batch, ys)
-}
-
 /// Transposed matrix–vector product `y += W^T g` (accumulates into `y`).
 ///
 /// Built on the unrolled [`kernels::axpy`]; the accumulation stays
@@ -207,19 +191,6 @@ mod tests {
         let c = [-1.0, 0.0];
         assert!((cosine(&a, &c) + 1.0).abs() < 1e-6);
         assert_eq!(cosine(&[0.0, 0.0], &a), 0.0);
-    }
-
-    #[test]
-    fn matvec_batch_is_bit_identical_to_scalar() {
-        let w: Vec<f32> = (0..6).map(|i| (i as f32 + 1.0) * 0.37).collect(); // 2x3
-        let xs: Vec<f32> = (0..12).map(|i| (i as f32 - 5.0) * 0.21).collect(); // 4 lanes
-        let mut ys = vec![0.0; 8];
-        matvec_batch(&w, 2, 3, &xs, 4, &mut ys);
-        for b in 0..4 {
-            let mut y = vec![0.0; 2];
-            matvec(&w, 2, 3, &xs[b * 3..(b + 1) * 3], &mut y);
-            assert_eq!(&ys[b * 2..(b + 1) * 2], &y[..], "lane {b}");
-        }
     }
 
     #[test]

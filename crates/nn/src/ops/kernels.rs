@@ -15,11 +15,10 @@
 //! 2. **Fixed pairwise tree.** The eight partials are combined as
 //!    `((a0+a4)+(a2+a6)) + ((a1+a5)+(a3+a7))` — never reassociated.
 //!
-//! This is *not* the seed's left-to-right summation (kept as
-//! [`mod@reference`]), so absolute values differ from pre-kernel builds by
-//! normal `f32` reassociation noise. What the fixed order buys is
-//! **bit-identity between every path that computes the same logical
-//! value**:
+//! This is *not* a left-to-right summation, so absolute values differ
+//! from a sequential sum by normal `f32` reassociation noise. What the
+//! fixed order buys is **bit-identity between every path that computes
+//! the same logical value**:
 //!
 //! * [`matvec`] and [`gemm_micro`] produce identical bits per output cell
 //!   at any batch and on any instruction set — register blocking only
@@ -235,8 +234,8 @@ pub fn matvec(w: &[f32], stride: usize, rows: usize, cols: usize, x: &[f32], y: 
 /// Several weight rows are dotted against two batch lanes at a time,
 /// sharing register loads across cells. Every cell uses the fixed
 /// reduction order, so the output is bit-identical to `batch` independent
-/// [`matvec`] calls — which is exactly the invariant `ops::matvec_batch`
-/// promises the serving engines.
+/// [`matvec`] calls — the invariant the serving engines' batched rounds
+/// rely on.
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_micro(
     w: &[f32],
@@ -531,7 +530,7 @@ fn apply_with<V: Lanes>(act: Activation, xs: &mut [f32]) {
 /// `z + bias` (`4H`, gate order `i, f, g, o`), `c ← σ(f)⊙c + σ(i)⊙tanh(g)`
 /// and `h ← σ(o)⊙tanh(c)`. `z` is read once and not written. The same
 /// expressions as [`LstmCell::forward`](crate::LstmCell::forward), so the
-/// raw, packed, scalar and batched step paths are all bit-identical.
+/// packed scalar and batched steps are bit-identical to training.
 pub fn lstm_cell(z: &[f32], bias: &[f32], c: &mut [f32], h: &mut [f32]) {
     debug_assert_eq!(z.len(), 4 * c.len());
     debug_assert_eq!(bias.len(), 4 * c.len());
@@ -575,50 +574,6 @@ fn lstm_cell_block<V: Lanes>(z: &[f32], bias: &[f32], c: &mut [f32], h: &mut [f3
     (o * tanh_lanes(c_new)).store(&mut h[k..]);
 }
 
-/// The seed's scalar kernels, kept verbatim as the correctness oracle for
-/// the property tests and the "old" baseline for `--bin kernels`
-/// (`BENCH_kernels.json`'s speedup columns). Left-to-right summation —
-/// *not* the fixed reduction order above, so values agree with the
-/// vectorized kernels only to `f32` reassociation noise.
-pub mod reference {
-    /// Seed `dot`: sequential left-to-right sum.
-    #[inline]
-    pub fn dot(a: &[f32], b: &[f32]) -> f32 {
-        debug_assert_eq!(a.len(), b.len());
-        a.iter().zip(b).map(|(x, y)| x * y).sum()
-    }
-
-    /// Seed `matvec`: one sequential dot per row.
-    pub fn matvec(w: &[f32], rows: usize, cols: usize, x: &[f32], y: &mut [f32]) {
-        debug_assert_eq!(w.len(), rows * cols);
-        debug_assert_eq!(x.len(), cols);
-        debug_assert_eq!(y.len(), rows);
-        for (r, yr) in y.iter_mut().enumerate() {
-            *yr = dot(&w[r * cols..(r + 1) * cols], x);
-        }
-    }
-
-    /// Seed `matvec_batch`: row-outer / lane-inner sequential dots.
-    pub fn matvec_batch(
-        w: &[f32],
-        rows: usize,
-        cols: usize,
-        xs: &[f32],
-        batch: usize,
-        ys: &mut [f32],
-    ) {
-        debug_assert_eq!(w.len(), rows * cols);
-        debug_assert_eq!(xs.len(), batch * cols);
-        debug_assert_eq!(ys.len(), batch * rows);
-        for r in 0..rows {
-            let row = &w[r * cols..(r + 1) * cols];
-            for b in 0..batch {
-                ys[b * rows + r] = dot(row, &xs[b * cols..(b + 1) * cols]);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -633,7 +588,7 @@ mod tests {
             let a = vals(n, 0.13, 20.0);
             let b = vals(n, -0.07, 3.0);
             let got = dot(&a, &b);
-            let want = reference::dot(&a, &b);
+            let want: f32 = a.iter().zip(&b).map(|(x, y)| x * y).sum();
             assert!(
                 (got - want).abs() <= 1e-3 * (1.0 + want.abs()),
                 "n={n}: {got} vs {want}"

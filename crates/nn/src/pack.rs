@@ -15,12 +15,16 @@
 //! * **precomputed shapes** — the bias is carried alongside and the
 //!   stride is resolved once, so the per-tick code is pure kernel calls.
 //!
-//! [`PackedLinear`], [`PackedLstm`] and [`PackedGru`] mirror the
-//! inference entry points of [`Linear`], [`LstmCell`] and [`GruCell`];
-//! a trained model caches them once (e.g. `rl4oasd`'s `TrainedModel`
-//! holds a `OnceLock`-ed packed form) and every engine tick — scalar or
-//! batched, sharded or ingest-driven — runs on the packed weights with
-//! zero per-tick repacking.
+//! [`PackedLinear`], [`PackedLstm`] and [`PackedGru`] are the inference
+//! forms of [`Linear`], [`LstmCell`] and [`GruCell`]: each step is
+//! bit-identical to the layer's training `forward` value path (this
+//! module's tests and `tests/kernels.rs` pin that bridge). A trained model
+//! caches them once (e.g. `rl4oasd`'s `TrainedModel` holds a `OnceLock`-ed
+//! packed form) and every engine tick — scalar or batched, sharded or
+//! ingest-driven — runs on the packed weights with zero per-tick
+//! repacking. The steps take reusable [`LstmScratch`] / [`GruScratch`]
+//! buffers instead of allocating the `[x; h]` concatenations and gate
+//! vectors per point, so a warm session allocates nothing.
 //!
 //! A transposed layout for the batch≥4 path was evaluated and rejected:
 //! it forces a sequential-k accumulation per output cell, a different
@@ -30,10 +34,26 @@
 
 use crate::linear::Linear;
 use crate::ops::kernels::{self, LANES};
-use crate::rnn::{
-    gru_infer_step_strided, lstm_infer_step_batch_strided, lstm_infer_step_strided, GruCell,
-    GruScratch, LstmCell, LstmScratch, LstmState,
-};
+use crate::ops::{sigmoid, tanh};
+use crate::rnn::{GruCell, LstmCell, LstmState};
+
+/// Reusable buffers for the allocation-free scalar LSTM inference step:
+/// the `[x; h]` concatenation and the `4H` pre-activation gate vector.
+#[derive(Debug, Clone, Default)]
+pub struct LstmScratch {
+    xh: Vec<f32>,
+    gates: Vec<f32>,
+}
+
+/// Reusable buffers for the allocation-free scalar GRU inference step:
+/// `[x; h]` / `[x; r⊙h]` concatenations and the `z`/`r` gate vectors.
+#[derive(Debug, Clone, Default)]
+pub struct GruScratch {
+    xh: Vec<f32>,
+    xrh: Vec<f32>,
+    z: Vec<f32>,
+    r: Vec<f32>,
+}
 
 /// A row-major weight matrix re-laid-out with each row padded to the
 /// kernel lane width. The padding is zero-filled and never read.
@@ -144,7 +164,7 @@ impl PackedLinear {
         self.w.rows()
     }
 
-    /// `y = W x + b`. Bit-identical to [`Linear::infer`].
+    /// `y = W x + b`. Bit-identical to [`Linear::forward`]'s output.
     pub fn infer(&self, x: &[f32], y: &mut [f32]) {
         self.w.matvec(x, y);
         for (yi, bi) in y.iter_mut().zip(&self.b) {
@@ -152,8 +172,10 @@ impl PackedLinear {
         }
     }
 
-    /// Batched inference; bit-identical to [`Linear::infer_batch`] (and
-    /// therefore to `batch` independent [`PackedLinear::infer`] calls).
+    /// Batched inference: `xs` holds `batch` input rows (`batch × in_dim`,
+    /// row-major); writes `batch × out_dim` into `ys`. Bit-identical per
+    /// lane to [`PackedLinear::infer`], but walks the weight matrix once
+    /// for all lanes.
     pub fn infer_batch(&self, xs: &[f32], batch: usize, ys: &mut [f32]) {
         let out = self.out_dim();
         self.w.matvec_batch(xs, batch, ys);
@@ -199,23 +221,33 @@ impl PackedLstm {
     }
 
     /// Allocation-free scalar step advancing `state` in place.
-    /// Bit-identical to [`LstmCell::forward`]'s value path and to
-    /// [`LstmCell::infer_step`].
+    /// Bit-identical to [`LstmCell::forward`]'s value path. The gate
+    /// buffer is sized once: the mat-vec overwrites every cell.
     pub fn infer_step(&self, x: &[f32], state: &mut LstmState, scratch: &mut LstmScratch) {
-        lstm_infer_step_strided(
-            &self.w.data,
-            self.w.stride,
-            &self.b,
-            self.input,
-            self.hidden,
-            x,
-            state,
-            scratch,
-        );
+        debug_assert_eq!(x.len(), self.input);
+        debug_assert_eq!(state.h.len(), self.hidden);
+        scratch.xh.clear();
+        scratch.xh.extend_from_slice(x);
+        scratch.xh.extend_from_slice(&state.h);
+        scratch.gates.resize(4 * self.hidden, 0.0);
+        self.w.matvec(&scratch.xh, &mut scratch.gates);
+        kernels::lstm_cell(&scratch.gates, &self.b, &mut state.c, &mut state.h);
     }
 
-    /// Batched step with the layout contract of
-    /// [`LstmCell::infer_step_batch`], to which it is bit-identical.
+    /// Batched step advancing `batch` independent lanes in one matrix pass.
+    ///
+    /// * `xh` — `batch × (input + hidden)` row-major, each lane's input
+    ///   concatenated with its previous hidden vector;
+    /// * `c` — `batch × hidden` cell states, updated in place;
+    /// * `h` — `batch × hidden` output hidden vectors, overwritten;
+    /// * `z_scratch` — reusable gate buffer (resized to `batch × 4·hidden`,
+    ///   never zeroed: the mat-vec overwrites every cell).
+    ///
+    /// Per-lane results are **bit-identical** to [`LstmCell::forward`] and
+    /// to [`PackedLstm::infer_step`] (same kernel accumulation order, same
+    /// element-wise gate expressions); the batched form exists so one pass
+    /// over the `4H × (I+H)` weight matrix serves every lane that advanced
+    /// this tick.
     pub fn infer_step_batch(
         &self,
         batch: usize,
@@ -224,18 +256,20 @@ impl PackedLstm {
         h: &mut [f32],
         z_scratch: &mut Vec<f32>,
     ) {
-        lstm_infer_step_batch_strided(
-            &self.w.data,
-            self.w.stride,
-            &self.b,
-            self.input,
-            self.hidden,
-            batch,
-            xh,
-            c,
-            h,
-            z_scratch,
-        );
+        let hidden = self.hidden;
+        debug_assert_eq!(xh.len(), batch * (self.input + hidden));
+        debug_assert_eq!(c.len(), batch * hidden);
+        debug_assert_eq!(h.len(), batch * hidden);
+        z_scratch.resize(batch * 4 * hidden, 0.0);
+        self.w.matvec_batch(xh, batch, z_scratch);
+        for b in 0..batch {
+            kernels::lstm_cell(
+                &z_scratch[b * 4 * hidden..(b + 1) * 4 * hidden],
+                &self.b,
+                &mut c[b * hidden..(b + 1) * hidden],
+                &mut h[b * hidden..(b + 1) * hidden],
+            );
+        }
     }
 }
 
@@ -280,8 +314,7 @@ impl PackedGru {
     }
 
     /// Allocation-free scalar step writing the new hidden vector into
-    /// `h_new`. Bit-identical to [`GruCell::forward`]'s value path and to
-    /// [`GruCell::infer_step`].
+    /// `h_new`. Bit-identical to [`GruCell::forward`]'s value path.
     pub fn infer_step(
         &self,
         x: &[f32],
@@ -289,20 +322,33 @@ impl PackedGru {
         h_new: &mut Vec<f32>,
         scratch: &mut GruScratch,
     ) {
-        gru_infer_step_strided(
-            (&self.wz.data, self.wz.stride),
-            (&self.wr.data, self.wr.stride),
-            (&self.wn.data, self.wn.stride),
-            &self.bz,
-            &self.br,
-            &self.bn,
-            self.input,
-            self.hidden,
-            x,
-            h_prev,
-            h_new,
-            scratch,
-        );
+        let hidden = self.hidden;
+        debug_assert_eq!(x.len(), self.input);
+        debug_assert_eq!(h_prev.len(), hidden);
+        scratch.xh.clear();
+        scratch.xh.extend_from_slice(x);
+        scratch.xh.extend_from_slice(h_prev);
+        scratch.z.resize(hidden, 0.0);
+        scratch.r.resize(hidden, 0.0);
+        self.wz.matvec(&scratch.xh, &mut scratch.z);
+        self.wr.matvec(&scratch.xh, &mut scratch.r);
+        for k in 0..hidden {
+            scratch.z[k] = sigmoid(scratch.z[k] + self.bz[k]);
+            scratch.r[k] = sigmoid(scratch.r[k] + self.br[k]);
+        }
+        scratch.xrh.clear();
+        scratch.xrh.extend_from_slice(x);
+        scratch
+            .xrh
+            .extend(scratch.r.iter().zip(h_prev).map(|(rk, hk)| rk * hk));
+        h_new.resize(hidden, 0.0);
+        self.wn.matvec(&scratch.xrh, h_new);
+        for (nk, bk) in h_new.iter_mut().zip(&self.bn) {
+            *nk = tanh(*nk + bk);
+        }
+        for k in 0..hidden {
+            h_new[k] = (1.0 - scratch.z[k]) * h_new[k] + scratch.z[k] * h_prev[k];
+        }
     }
 }
 
@@ -339,40 +385,45 @@ mod tests {
         let l = Linear::new(13, 9, &mut seeded_rng(3));
         let p = PackedLinear::of(&l);
         let xs: Vec<f32> = (0..39).map(|i| (i as f32 - 20.0) * 0.11).collect();
-        let mut y0 = vec![0.0; 9];
-        let mut y1 = vec![0.0; 9];
+        let mut y = vec![0.0; 9];
+        let mut ys = vec![0.0; 27];
+        p.infer_batch(&xs, 3, &mut ys);
         for b in 0..3 {
-            l.infer(&xs[b * 13..(b + 1) * 13], &mut y0);
-            p.infer(&xs[b * 13..(b + 1) * 13], &mut y1);
-            assert_eq!(y0, y1, "lane {b}");
+            let (expect, _) = l.forward(&xs[b * 13..(b + 1) * 13]);
+            p.infer(&xs[b * 13..(b + 1) * 13], &mut y);
+            assert_eq!(y, expect, "scalar lane {b}");
+            assert_eq!(&ys[b * 9..(b + 1) * 9], &expect[..], "batched lane {b}");
         }
-        let mut ys0 = vec![0.0; 27];
-        let mut ys1 = vec![0.0; 27];
-        l.infer_batch(&xs, 3, &mut ys0);
-        p.infer_batch(&xs, 3, &mut ys1);
-        assert_eq!(ys0, ys1);
     }
 
     #[test]
     fn packed_lstm_scalar_and_batched_match_forward_bitwise() {
-        let cell = LstmCell::new(3, 5, &mut seeded_rng(4));
+        let (input, hidden) = (3, 5);
+        let cell = LstmCell::new(input, hidden, &mut seeded_rng(4));
         let p = PackedLstm::of(&cell);
         let x = [0.4, -0.2, 0.9];
-        let mut state = LstmState::zeros(5);
-        let mut scratch = LstmScratch::default();
+
         // two chained steps through the packed scalar path
+        let mut state = LstmState::zeros(hidden);
+        let mut scratch = LstmScratch::default();
         p.infer_step(&x, &mut state, &mut scratch);
         p.infer_step(&x, &mut state, &mut scratch);
-        // reference: raw forward twice
-        let mut expect = LstmState::zeros(5);
+        let mut expect = LstmState::zeros(hidden);
         expect = cell.forward(&x, &expect).0;
         expect = cell.forward(&x, &expect).0;
         assert_eq!(state, expect);
-        // raw scratch-based step agrees too
-        let mut raw = LstmState::zeros(5);
-        cell.infer_step(&x, &mut raw, &mut scratch);
-        cell.infer_step(&x, &mut raw, &mut scratch);
-        assert_eq!(raw, expect);
+
+        // a third step as a one-lane batch continues the chain; the
+        // multi-lane, desynchronised case is
+        // `rnn::tests::lstm_batched_step_matches_scalar_bitwise`
+        let xh = [&x[..], &state.h[..]].concat();
+        let mut c = state.c.clone();
+        let mut h = vec![0.0; hidden];
+        let mut z = Vec::new();
+        p.infer_step_batch(1, &xh, &mut c, &mut h, &mut z);
+        let expect = cell.forward(&x, &expect).0;
+        assert_eq!(h, expect.h);
+        assert_eq!(c, expect.c);
     }
 
     #[test]
@@ -386,8 +437,5 @@ mod tests {
         let mut got = Vec::new();
         p.infer_step(&x, &h0, &mut got, &mut scratch);
         assert_eq!(got, expect);
-        let mut raw = Vec::new();
-        cell.infer_step(&x, &h0, &mut raw, &mut scratch);
-        assert_eq!(raw, expect);
     }
 }

@@ -4,155 +4,13 @@
 //! and drive sequences / BPTT explicitly (RSRNet unrolls an LSTM over a
 //! trajectory; the GM-VSAE baselines unroll GRU encoders/decoders).
 //!
-//! The inference-only step paths ([`LstmCell::infer_step`],
-//! [`LstmCell::infer_step_batch`], [`GruCell::infer_step`]) take reusable
-//! [`LstmScratch`]/[`GruScratch`] buffers instead of allocating the
-//! `[x; h]` concatenations and gate vectors per point — the serving hot
-//! path allocates nothing once a session's scratch is warm. The same
-//! strided step helpers back the packed-weight variants in
-//! [`crate::pack`], so raw and packed inference share one accumulation
-//! order and stay bit-identical.
+//! Inference runs on the packed forms in [`crate::pack`], which are
+//! bit-identical to these cells' `forward` value paths.
 
-use crate::ops::{self, kernels, sigmoid, tanh};
+use crate::ops::{self, sigmoid, tanh};
 use crate::param::Param;
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
-
-/// Reusable buffers for the allocation-free scalar LSTM inference step:
-/// the `[x; h]` concatenation and the `4H` pre-activation gate vector.
-#[derive(Debug, Clone, Default)]
-pub struct LstmScratch {
-    pub(crate) xh: Vec<f32>,
-    pub(crate) gates: Vec<f32>,
-}
-
-/// Reusable buffers for the allocation-free scalar GRU inference step:
-/// `[x; h]` / `[x; r⊙h]` concatenations and the `z`/`r` gate vectors.
-#[derive(Debug, Clone, Default)]
-pub struct GruScratch {
-    pub(crate) xh: Vec<f32>,
-    pub(crate) xrh: Vec<f32>,
-    pub(crate) z: Vec<f32>,
-    pub(crate) r: Vec<f32>,
-}
-
-/// Scalar LSTM inference step over a strided weight matrix (`stride ==
-/// input + hidden` for raw weights; the padded stride for packed ones).
-/// Advances `state` in place; allocation-free once `scratch` is warm. The
-/// gate buffer is sized once: the mat-vec overwrites every cell.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn lstm_infer_step_strided(
-    w: &[f32],
-    stride: usize,
-    bias: &[f32],
-    input: usize,
-    hidden: usize,
-    x: &[f32],
-    state: &mut LstmState,
-    scratch: &mut LstmScratch,
-) {
-    debug_assert_eq!(x.len(), input);
-    debug_assert_eq!(state.h.len(), hidden);
-    scratch.xh.clear();
-    scratch.xh.extend_from_slice(x);
-    scratch.xh.extend_from_slice(&state.h);
-    scratch.gates.resize(4 * hidden, 0.0);
-    kernels::matvec(
-        w,
-        stride,
-        4 * hidden,
-        input + hidden,
-        &scratch.xh,
-        &mut scratch.gates,
-    );
-    kernels::lstm_cell(&scratch.gates, bias, &mut state.c, &mut state.h);
-}
-
-/// Batched LSTM inference step over a strided weight matrix; see
-/// [`LstmCell::infer_step_batch`] for the layout contract.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn lstm_infer_step_batch_strided(
-    w: &[f32],
-    stride: usize,
-    bias: &[f32],
-    input: usize,
-    hidden: usize,
-    batch: usize,
-    xh: &[f32],
-    c: &mut [f32],
-    h: &mut [f32],
-    z_scratch: &mut Vec<f32>,
-) {
-    debug_assert_eq!(xh.len(), batch * (input + hidden));
-    debug_assert_eq!(c.len(), batch * hidden);
-    debug_assert_eq!(h.len(), batch * hidden);
-    z_scratch.resize(batch * 4 * hidden, 0.0);
-    kernels::gemm_micro(
-        w,
-        stride,
-        4 * hidden,
-        input + hidden,
-        xh,
-        input + hidden,
-        batch,
-        z_scratch,
-    );
-    for b in 0..batch {
-        kernels::lstm_cell(
-            &z_scratch[b * 4 * hidden..(b + 1) * 4 * hidden],
-            bias,
-            &mut c[b * hidden..(b + 1) * hidden],
-            &mut h[b * hidden..(b + 1) * hidden],
-        );
-    }
-}
-
-/// Scalar GRU inference step over strided weight matrices (one `(matrix,
-/// stride)` pair per gate). Writes the new hidden vector into `h_new`;
-/// bit-identical to [`GruCell::forward`]'s value path.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn gru_infer_step_strided(
-    wz: (&[f32], usize),
-    wr: (&[f32], usize),
-    wn: (&[f32], usize),
-    bz: &[f32],
-    br: &[f32],
-    bn: &[f32],
-    input: usize,
-    hidden: usize,
-    x: &[f32],
-    h_prev: &[f32],
-    h_new: &mut Vec<f32>,
-    scratch: &mut GruScratch,
-) {
-    debug_assert_eq!(x.len(), input);
-    debug_assert_eq!(h_prev.len(), hidden);
-    let cols = input + hidden;
-    scratch.xh.clear();
-    scratch.xh.extend_from_slice(x);
-    scratch.xh.extend_from_slice(h_prev);
-    scratch.z.resize(hidden, 0.0);
-    scratch.r.resize(hidden, 0.0);
-    kernels::matvec(wz.0, wz.1, hidden, cols, &scratch.xh, &mut scratch.z);
-    kernels::matvec(wr.0, wr.1, hidden, cols, &scratch.xh, &mut scratch.r);
-    for k in 0..hidden {
-        scratch.z[k] = sigmoid(scratch.z[k] + bz[k]);
-        scratch.r[k] = sigmoid(scratch.r[k] + br[k]);
-    }
-    scratch.xrh.clear();
-    scratch.xrh.extend_from_slice(x);
-    scratch
-        .xrh
-        .extend(scratch.r.iter().zip(h_prev).map(|(rk, hk)| rk * hk));
-    h_new.resize(hidden, 0.0);
-    kernels::matvec(wn.0, wn.1, hidden, cols, &scratch.xrh, h_new);
-    for k in 0..hidden {
-        h_new[k] = tanh(h_new[k] + bn[k]);
-    }
-    for k in 0..hidden {
-        h_new[k] = (1.0 - scratch.z[k]) * h_new[k] + scratch.z[k] * h_prev[k];
-    }
-}
 
 /// Hidden state of an LSTM: `(h, c)`.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -266,60 +124,6 @@ impl LstmCell {
                 tanh_c,
             },
         )
-    }
-
-    /// Inference-only scalar step advancing `state` in place without the
-    /// per-point `concat`/gate allocations of [`LstmCell::forward`] — the
-    /// `[x; h]` and pre-activation buffers live in the caller's reusable
-    /// [`LstmScratch`]. Bit-identical to the value path of `forward` (same
-    /// kernels, same gate expressions).
-    pub fn infer_step(&self, x: &[f32], state: &mut LstmState, scratch: &mut LstmScratch) {
-        lstm_infer_step_strided(
-            &self.w.value,
-            self.input + self.hidden,
-            &self.b.value,
-            self.input,
-            self.hidden,
-            x,
-            state,
-            scratch,
-        );
-    }
-
-    /// Inference-only batched step advancing `batch` independent lanes in
-    /// one matrix pass.
-    ///
-    /// * `xh` — `batch × (input + hidden)` row-major, each lane's input
-    ///   concatenated with its previous hidden vector;
-    /// * `c` — `batch × hidden` cell states, updated in place;
-    /// * `h` — `batch × hidden` output hidden vectors, overwritten;
-    /// * `z_scratch` — reusable gate buffer (resized to `batch × 4·hidden`,
-    ///   never zeroed: the mat-vec overwrites every cell).
-    ///
-    /// Per-lane results are **bit-identical** to [`LstmCell::forward`]
-    /// (same kernel accumulation order, same element-wise gate
-    /// expressions); the batched form exists so one pass over the `4H ×
-    /// (I+H)` weight matrix serves every lane that advanced this tick.
-    pub fn infer_step_batch(
-        &self,
-        batch: usize,
-        xh: &[f32],
-        c: &mut [f32],
-        h: &mut [f32],
-        z_scratch: &mut Vec<f32>,
-    ) {
-        lstm_infer_step_batch_strided(
-            &self.w.value,
-            self.input + self.hidden,
-            &self.b.value,
-            self.input,
-            self.hidden,
-            batch,
-            xh,
-            c,
-            h,
-            z_scratch,
-        );
     }
 
     /// Backward for one step. `dh`/`dc` are the gradients flowing into this
@@ -459,35 +263,6 @@ impl GruCell {
         )
     }
 
-    /// Inference-only scalar step writing the new hidden vector into
-    /// `h_new`, without the per-point `concat`/gate allocations of
-    /// [`GruCell::forward`] — all intermediates live in the caller's
-    /// reusable [`GruScratch`]. Bit-identical to the value path of
-    /// `forward`.
-    pub fn infer_step(
-        &self,
-        x: &[f32],
-        h_prev: &[f32],
-        h_new: &mut Vec<f32>,
-        scratch: &mut GruScratch,
-    ) {
-        let cols = self.input + self.hidden;
-        gru_infer_step_strided(
-            (&self.wz.value, cols),
-            (&self.wr.value, cols),
-            (&self.wn.value, cols),
-            &self.bz.value,
-            &self.br.value,
-            &self.bn.value,
-            self.input,
-            self.hidden,
-            x,
-            h_prev,
-            h_new,
-            scratch,
-        );
-    }
-
     /// Backward for one step: accumulates parameter gradients, returns
     /// `(dx, dh_prev)`.
     pub fn backward(&mut self, ctx: &GruCtx, dh: &[f32]) -> (Vec<f32>, Vec<f32>) {
@@ -612,10 +387,12 @@ mod tests {
     #[test]
     fn lstm_batched_step_matches_scalar_bitwise() {
         // Three lanes with different inputs and different prior states must
-        // advance exactly as three scalar forward() calls would.
+        // advance through the packed batched step exactly as three scalar
+        // forward() calls would.
         let cell = LstmCell::new(I, H, &mut seeded_rng(11));
+        let packed = crate::pack::PackedLstm::of(&cell);
         let inputs = seq();
-        let mut states: Vec<LstmState> = (0..3)
+        let states: Vec<LstmState> = (0..3)
             .map(|lane| {
                 let mut s = LstmState::zeros(H);
                 // desynchronise the lanes
@@ -635,9 +412,9 @@ mod tests {
         }
         let mut h = vec![0.0; 3 * H];
         let mut z = Vec::new();
-        cell.infer_step_batch(3, &xh, &mut c, &mut h, &mut z);
+        packed.infer_step_batch(3, &xh, &mut c, &mut h, &mut z);
 
-        for (lane, s) in states.iter_mut().enumerate() {
+        for (lane, s) in states.iter().enumerate() {
             let (expect, _) = cell.forward(&inputs[lane], s);
             assert_eq!(&h[lane * H..(lane + 1) * H], &expect.h[..], "h lane {lane}");
             assert_eq!(&c[lane * H..(lane + 1) * H], &expect.c[..], "c lane {lane}");

@@ -1,7 +1,8 @@
 //! Client side of the `oasd-serve` wire protocol: a minimal blocking
 //! [`Client`] (used by the scenario runner's `Driver::Net` and the test
 //! suites) and a multi-connection load generator ([`run_load`]) that
-//! measures over-the-wire submit→label latency for `BENCH_serve.json`.
+//! measures over-the-wire submit→label latency (`oasd-serve --smoke` and
+//! `tests/serve.rs` drive it).
 
 use crate::proto::{frame_bytes, Frame, FrameReader, PREAMBLE};
 use obs::LatencyHistogram;
