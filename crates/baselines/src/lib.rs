@@ -23,7 +23,6 @@ pub mod ctss;
 pub mod dbtod;
 pub mod iboat;
 pub mod scoring;
-pub mod session;
 pub mod stats;
 pub mod vsae;
 
@@ -31,9 +30,5 @@ pub use ctss::Ctss;
 pub use dbtod::Dbtod;
 pub use iboat::Iboat;
 pub use scoring::{ScoringDetector, Thresholded};
-pub use session::{
-    ctss_engine, dbtod_engine, iboat_engine, ingest_iboat_engine, sharded_ctss_engine,
-    sharded_dbtod_engine, sharded_iboat_engine, ShardedBaseline,
-};
 pub use stats::RouteStats;
 pub use vsae::{Seq2SeqDetector, Seq2SeqKind, VsaeConfig};

@@ -1,91 +1,152 @@
 //! Runs every table and figure experiment and writes `EXPERIMENTS.md`.
 //!
-//! Usage: `cargo run -p bench-suite --release --bin repro_all [out.md]`
-use bench_suite::{experiments, figures, City, Context};
+//! Usage: `cargo run -p bench_suite --release --bin repro_all [out.md]`
+//!
+//! `--only <section>` runs one experiment and prints exactly the section
+//! the full run writes for it to stdout, writing no file. Sections:
+//! `table2`…`table6`, `fig3`…`fig7`, `params`.
+use bench_suite::figures::{self, DriftSetup};
+use bench_suite::{experiments, City, Context};
 use rl4oasd::Rl4oasdConfig;
-use std::fmt::Write as _;
+use std::cell::OnceCell;
 use std::time::Instant;
 
+/// Section names in document order.
+const SECTIONS: [&str; 11] = [
+    "table2", "table3", "table4", "table5", "table6", "fig3", "fig4", "fig5", "fig6", "fig7",
+    "params",
+];
+
+/// Expensive inputs, built on first use so `--only` trains only what its
+/// section needs.
+#[derive(Default)]
+struct Inputs {
+    chengdu: OnceCell<Context>,
+    xian: OnceCell<Context>,
+    drift: OnceCell<DriftSetup>,
+}
+
+impl Inputs {
+    fn chengdu(&self) -> &Context {
+        self.chengdu.get_or_init(|| build(City::Chengdu))
+    }
+
+    fn xian(&self) -> &Context {
+        self.xian.get_or_init(|| build(City::Xian))
+    }
+
+    fn drift(&self) -> &DriftSetup {
+        self.drift.get_or_init(|| {
+            eprintln!("building drift corpus...");
+            figures::drift_setup(City::Chengdu)
+        })
+    }
+}
+
+fn build(city: City) -> Context {
+    eprintln!("building {} context...", city.name());
+    Context::build(city)
+}
+
+/// One section of `EXPERIMENTS.md`: the experiment's report followed by
+/// the paper's reference values.
+fn section(name: &str, inputs: &Inputs, base: &Rl4oasdConfig) -> String {
+    let (report, paper) = match name {
+        "table2" => (
+            experiments::table2(&[inputs.chengdu(), inputs.xian()]),
+            "Paper: 677,492 / 373,054 trajectories; 4,885 / 5,052 segments; anomalous ratios 0.7% / 1.5%.",
+        ),
+        "table3" => (
+            format!(
+                "{}\n{}",
+                experiments::table3(inputs.chengdu()).1,
+                experiments::table3(inputs.xian()).1
+            ),
+            "Paper (overall F1/TF1): RL4OASD 0.854/0.870 (Chengdu), 0.857/0.883 (Xi'an); best baseline CTSS 0.706/0.758 and 0.658/0.689.",
+        ),
+        "table4" => (
+            experiments::table4(inputs.chengdu(), base),
+            "Paper: full 0.854; w/o noisy labels 0.626; w/o embeddings 0.828; w/o RNEL 0.816; w/o DL 0.737; w/o local 0.850; w/o global 0.849; w/o ASDNet 0.508; frequency only 0.643.",
+        ),
+        "table5" => (
+            experiments::table5(City::Chengdu, &[1000, 2000, 3000, 4000, 5000], base),
+            "Paper (4k-12k trajectories): preprocessing under two minutes, training ~0.1-0.25 h, F1 saturating at 10k.",
+        ),
+        "table6" => (
+            experiments::table6(inputs.chengdu(), base, &[0.0, 0.2, 0.4, 0.6, 0.8]),
+            "Paper: 0.854, 0.854, 0.852, 0.831, 0.803 — degrades only ~6% at 80% drop.",
+        ),
+        "fig3" => (
+            figures::fig3(&[inputs.chengdu(), inputs.xian()]),
+            "Paper: every method below 0.1 ms/point except CTSS; DBTOD fastest; GM-VSAE/SAE slower than SD-VSAE/VSAE.",
+        ),
+        "fig4" => (
+            format!(
+                "{}\n{}",
+                figures::fig4(inputs.chengdu()),
+                figures::fig4(inputs.xian())
+            ),
+            "Paper: CTSS slowest and diverging with length; DBTOD fastest; RL4OASD scales linearly.",
+        ),
+        "fig5" => (
+            figures::fig5(inputs.chengdu()),
+            "Paper: RL4OASD detects both detours exactly (F1 = 1.0); CTSS misses the detour onset (F1 = 0.792).",
+        ),
+        "fig6" => (
+            figures::fig6(inputs.drift(), base, &[1, 2, 4, 8]),
+            "Paper: best xi = 8 (F1 = 0.867); P1 degrades on parts 2-7; FT recovers with <0.05 h per-part updates.",
+        ),
+        "fig7" => (
+            figures::fig7(inputs.drift(), base),
+            "Paper: P1 false-positives after the swap (F1 = 0.78); FT keeps F1 = 1.0.",
+        ),
+        "params" => (
+            experiments::params(inputs.chengdu(), base),
+            "Paper: moderate settings best (alpha = 0.5, delta = 0.4, D = 8 on DiDi data; the synthetic corpus shifts the optima to alpha ~0.25, delta ~0.2 as discussed in DESIGN.md).",
+        ),
+        _ => unreachable!("unknown section {name}"),
+    };
+    format!("{report}\n{paper}\n\n")
+}
+
 fn main() {
-    let out_path = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "EXPERIMENTS.md".to_string());
+    let args: Vec<String> = std::env::args().skip(1).collect();
     let base = Rl4oasdConfig::default();
+    let inputs = Inputs::default();
+
+    if args.first().map(String::as_str) == Some("--only") {
+        let name = args.get(1).map(String::as_str).unwrap_or("");
+        if !SECTIONS.contains(&name) {
+            eprintln!(
+                "error: unknown section {name:?}; valid sections: {}",
+                SECTIONS.join(", ")
+            );
+            std::process::exit(2);
+        }
+        print!("{}", section(name, &inputs, &base));
+        return;
+    }
+
+    let out_path = args
+        .first()
+        .cloned()
+        .unwrap_or_else(|| "EXPERIMENTS.md".to_string());
     let t0 = Instant::now();
-    let mut doc = String::new();
-    writeln!(
-        doc,
+    let mut doc = String::from(
         "# EXPERIMENTS — paper vs measured\n\n\
-         Regenerated by `cargo run -p bench-suite --release --bin repro_all`.\n\
+         Regenerated by `cargo run -p bench_suite --release --bin repro_all`.\n\
          Absolute numbers differ from the paper (synthetic data, CPU instead\n\
          of the authors' GPU testbed); the *shape* of every result is the\n\
-         reproduction target. Paper reference values are quoted inline.\n"
-    )
-    .unwrap();
-
-    eprintln!("[1/10] building contexts...");
-    let chengdu = Context::build(City::Chengdu);
-    let xian = Context::build(City::Xian);
-
-    eprintln!("[2/10] table 2...");
-    doc.push_str(&experiments::table2(&[&chengdu, &xian]));
-    doc.push_str("\nPaper: 677,492 / 373,054 trajectories; 4,885 / 5,052 segments; anomalous ratios 0.7% / 1.5%.\n\n");
-
-    eprintln!("[3/10] table 3...");
-    let (_, r3c) = experiments::table3(&chengdu);
-    let (_, r3x) = experiments::table3(&xian);
-    doc.push_str(&r3c);
-    doc.push('\n');
-    doc.push_str(&r3x);
-    doc.push_str("\nPaper (overall F1/TF1): RL4OASD 0.854/0.870 (Chengdu), 0.857/0.883 (Xi'an); best baseline CTSS 0.706/0.758 and 0.658/0.689.\n\n");
-
-    eprintln!("[4/10] table 4 (ablations, retrains 6 models)...");
-    doc.push_str(&experiments::table4(&chengdu, &base));
-    doc.push_str("\nPaper: full 0.854; w/o noisy labels 0.626; w/o embeddings 0.828; w/o RNEL 0.816; w/o DL 0.737; w/o local 0.850; w/o global 0.849; w/o ASDNet 0.508; frequency only 0.643.\n\n");
-
-    eprintln!("[5/10] table 5 (data-size sweep)...");
-    doc.push_str(&experiments::table5(
-        City::Chengdu,
-        &[1000, 2000, 3000, 4000, 5000],
-        &base,
-    ));
-    doc.push_str("\nPaper (4k-12k trajectories): preprocessing under two minutes, training ~0.1-0.25 h, F1 saturating at 10k.\n\n");
-
-    eprintln!("[6/10] table 6 (cold start, retrains 4 models)...");
-    doc.push_str(&experiments::table6(
-        &chengdu,
-        &base,
-        &[0.0, 0.2, 0.4, 0.6, 0.8],
-    ));
-    doc.push_str("\nPaper: 0.854, 0.854, 0.852, 0.831, 0.803 — degrades only ~6% at 80% drop.\n\n");
-
-    eprintln!("[7/10] figures 3-4 (efficiency)...");
-    doc.push_str(&figures::fig3(&[&chengdu, &xian]));
-    doc.push_str("\nPaper: every method below 0.1 ms/point except CTSS; DBTOD fastest; GM-VSAE/SAE slower than SD-VSAE/VSAE.\n\n");
-    doc.push_str(&figures::fig4(&chengdu));
-    doc.push_str("\nPaper: CTSS slowest and diverging with length; DBTOD fastest; RL4OASD scales linearly.\n\n");
-
-    eprintln!("[8/10] figure 5 (case study)...");
-    doc.push_str(&figures::fig5(&chengdu));
-    doc.push_str("\nPaper: RL4OASD detects both detours exactly (F1 = 1.0); CTSS misses the detour onset (F1 = 0.792).\n\n");
-
-    eprintln!("[9/10] figures 6-7 (concept drift)...");
-    let drift = figures::drift_setup(City::Chengdu);
-    doc.push_str(&figures::fig6(&drift, &base, &[1, 2, 4, 8]));
-    doc.push_str("\nPaper: best xi = 8 (F1 = 0.867); P1 degrades on parts 2-7; FT recovers with <0.05 h per-part updates.\n\n");
-    doc.push_str(&figures::fig7(&drift, &base));
-    doc.push_str("\nPaper: P1 false-positives after the swap (F1 = 0.78); FT keeps F1 = 1.0.\n\n");
-
-    eprintln!("[10/10] parameter study (retrains 11 models)...");
-    doc.push_str(&experiments::params(&chengdu, &base));
-    doc.push_str("\nPaper: moderate settings best (alpha = 0.5, delta = 0.4, D = 8 on DiDi data; the synthetic corpus shifts the optima to alpha ~0.25, delta ~0.2 as discussed in DESIGN.md).\n\n");
-
-    writeln!(
-        doc,
-        "\nTotal regeneration time: {:.1} s.",
+         reproduction target. Paper reference values are quoted inline.\n\n",
+    );
+    for (i, name) in SECTIONS.iter().enumerate() {
+        eprintln!("[{}/{}] {name}...", i + 1, SECTIONS.len());
+        doc.push_str(&section(name, &inputs, &base));
+    }
+    doc.push_str(&format!(
+        "\nTotal regeneration time: {:.1} s.\n",
         t0.elapsed().as_secs_f64()
-    )
-    .unwrap();
+    ));
     std::fs::write(&out_path, &doc).expect("write EXPERIMENTS.md");
     println!("{doc}");
     eprintln!("wrote {out_path}");

@@ -5,8 +5,8 @@
 //! simulation, trained RL4OASD model, fitted baselines with dev-set-tuned
 //! thresholds — and the experiment modules ([`experiments`], [`figures`])
 //! drive the detectors over labelled test sets to produce paper-style
-//! reports. Binaries under `src/bin/` are thin wrappers; `repro_all`
-//! composes everything into `EXPERIMENTS.md`.
+//! reports. The `repro_all` binary composes them into `EXPERIMENTS.md`,
+//! or prints one section with `--only <section>`.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
@@ -15,17 +15,14 @@ pub mod experiments;
 pub mod figures;
 
 use baselines::{
-    ctss_engine, dbtod_engine, iboat_engine, sharded_ctss_engine, sharded_dbtod_engine,
-    sharded_iboat_engine, Ctss, Dbtod, Iboat, RouteStats, ScoringDetector, Seq2SeqDetector,
-    Seq2SeqKind, Thresholded, VsaeConfig,
+    Ctss, Dbtod, Iboat, RouteStats, ScoringDetector, Seq2SeqDetector, Seq2SeqKind, Thresholded,
+    VsaeConfig,
 };
-use rl4oasd::{
-    train_with_dev, Rl4oasdConfig, Rl4oasdDetector, ShardedEngine, StreamEngine, TrainedModel,
-};
+use rl4oasd::{train_with_dev, Rl4oasdConfig, Rl4oasdDetector, TrainedModel};
 use rnet::{CityBuilder, CityConfig, RoadNetwork};
 use std::sync::Arc;
 use std::time::Instant;
-use traj::{Dataset, OnlineDetector, SessionEngine, SessionMux, TrafficConfig, TrafficSimulator};
+use traj::{Dataset, OnlineDetector, TrafficConfig, TrafficSimulator};
 
 /// The two evaluation cities (synthetic stand-ins for the paper's datasets).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -201,32 +198,6 @@ impl Context {
         )
     }
 
-    /// Builds with a custom RL4OASD configuration.
-    pub fn build_with(city: City, config: &Rl4oasdConfig) -> Self {
-        Self::build_custom(city, config, city.traffic_config(), VsaeConfig::default())
-    }
-
-    /// Lightweight context for latency benchmarks: full-size road network
-    /// and model dimensions (what latency depends on) but reduced corpus
-    /// and training budgets (what latency does not depend on).
-    pub fn build_light(city: City) -> Self {
-        let traffic = TrafficConfig {
-            num_sd_pairs: 12,
-            trajs_per_pair: (60, 100),
-            ..city.traffic_config()
-        };
-        let config = Rl4oasdConfig {
-            joint_trajs: 300,
-            ..Default::default()
-        };
-        let vsae = VsaeConfig {
-            epochs: 1,
-            max_train: 400,
-            ..Default::default()
-        };
-        Self::build_custom(city, &config, traffic, vsae)
-    }
-
     /// Fully customisable build.
     pub fn build_custom(
         city: City,
@@ -371,94 +342,6 @@ impl Context {
             outputs.push(detector.label_trajectory(t));
         }
         (outputs, points, t0.elapsed().as_secs_f64())
-    }
-
-    /// Constructs a fleet-scale session engine for a method (the
-    /// [`SessionEngine`] serving API: `open`/`observe`/`close` over many
-    /// concurrent trips).
-    ///
-    /// RL4OASD multiplexes every session over the shared `Arc` model via
-    /// [`StreamEngine`], with batched nn ticks; IBOAT/DBTOD/CTSS multiplex
-    /// cheap per-session detector values over their shared fitted
-    /// statistics; the seq2seq family falls back to a generic mux whose
-    /// per-session values copy the trained weights (correct, but heavy —
-    /// open few sessions for those).
-    pub fn engine(&self, method: Method) -> Box<dyn SessionEngine + '_> {
-        match method {
-            Method::Iboat => Box::new(iboat_engine(
-                Arc::clone(&self.stats),
-                0.05,
-                self.thresholds.iboat,
-            )),
-            Method::Dbtod => Box::new(dbtod_engine(
-                &self.net,
-                Arc::clone(&self.stats),
-                self.dbtod_weights,
-                self.thresholds.dbtod,
-            )),
-            Method::Ctss => Box::new(ctss_engine(
-                &self.net,
-                Arc::clone(&self.stats),
-                self.thresholds.ctss,
-            )),
-            Method::GmVsae | Method::SdVsae | Method::Sae | Method::Vsae => {
-                Box::new(SessionMux::named(method.name(), move || {
-                    self.detector(method)
-                }))
-            }
-            Method::Rl4oasd => Box::new(StreamEngine::new(
-                Arc::clone(&self.model),
-                Arc::clone(&self.net),
-            )),
-        }
-    }
-
-    /// Constructs a shard-parallel session engine for a method: `shards`
-    /// independent engines behind the shared fitted state, sessions hashed
-    /// to shards, ticks driven across scoped worker threads (one per shard)
-    /// — labels byte-identical to [`Context::engine`] for every shard
-    /// count.
-    ///
-    /// The seq2seq family multiplexes heavyweight per-session detectors
-    /// (see [`Context::engine`]); until its shared-weights session split
-    /// lands (ROADMAP), those methods fall back to the unsharded mux.
-    pub fn sharded_engine(&self, method: Method, shards: usize) -> Box<dyn SessionEngine + '_> {
-        match method {
-            Method::Iboat => Box::new(sharded_iboat_engine(
-                Arc::clone(&self.stats),
-                0.05,
-                self.thresholds.iboat,
-                shards,
-            )),
-            Method::Dbtod => Box::new(sharded_dbtod_engine(
-                &self.net,
-                Arc::clone(&self.stats),
-                self.dbtod_weights,
-                self.thresholds.dbtod,
-                shards,
-            )),
-            Method::Ctss => Box::new(sharded_ctss_engine(
-                &self.net,
-                Arc::clone(&self.stats),
-                self.thresholds.ctss,
-                shards,
-            )),
-            Method::GmVsae | Method::SdVsae | Method::Sae | Method::Vsae => {
-                // Loud, not silent: results for these rows must not be
-                // mistaken for sharded numbers.
-                eprintln!(
-                    "warning: {} has no sharded engine yet (seq2seq session split pending); \
-                     serving unsharded",
-                    method.name()
-                );
-                self.engine(method)
-            }
-            Method::Rl4oasd => Box::new(ShardedEngine::new(
-                Arc::clone(&self.model),
-                Arc::clone(&self.net),
-                shards,
-            )),
-        }
     }
 
     /// Constructs a ready-to-run detector for a method.

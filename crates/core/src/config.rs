@@ -12,7 +12,7 @@ pub struct Rl4oasdConfig {
     /// Noisy-label transition-fraction threshold α (paper: 0.5; default
     /// tuned to 0.25 for the synthetic corpus — its secondary normal
     /// routes carry ~30–38% of traffic, so α must sit below that band;
-    /// see the parameter study, `bench --bin params`).
+    /// see the parameter study, `repro_all --only params`).
     pub alpha: f64,
     /// Normal-route fraction threshold δ (paper: 0.4; default tuned to 0.2
     /// for the synthetic corpus for the same reason as α; see the

@@ -27,9 +27,9 @@
 //!   through [`Rl4oasdDetector`](crate::Rl4oasdDetector) — interleaving never
 //!   changes results (property-tested in `tests/engine.rs`).
 //!
-//! The engine implements [`traj::SessionEngine`]; wrap it in
-//! [`traj::SingleSession`] to recover the per-trajectory
-//! [`traj::OnlineDetector`] view.
+//! The engine implements [`traj::SessionEngine`]; the per-trajectory
+//! [`traj::OnlineDetector`] view of the same model is
+//! [`Rl4oasdDetector`](crate::Rl4oasdDetector).
 
 use crate::detector::{DecisionCounters, ModelView, Pending, SessionState, StepScratch};
 use crate::rsrnet::RsrBatch;
@@ -1131,7 +1131,7 @@ mod tests {
     use crate::detector::Rl4oasdDetector;
     use crate::train::train;
     use rnet::{CityBuilder, CityConfig};
-    use traj::{Dataset, OnlineDetector, SingleSession, TrafficConfig, TrafficSimulator};
+    use traj::{Dataset, OnlineDetector, TrafficConfig, TrafficSimulator};
 
     fn setup(seed: u64) -> (Arc<RoadNetwork>, Dataset, Arc<TrainedModel>) {
         let net = CityBuilder::new(CityConfig::tiny(seed)).build();
@@ -1238,18 +1238,6 @@ mod tests {
         engine.observe_batch(&events, &mut out);
         assert_eq!(out.len(), t.len());
         assert_eq!(engine.close(h), expected[0]);
-    }
-
-    #[test]
-    fn single_session_adapter_over_engine_matches_detector() {
-        let (net, ds, model) = setup(24);
-        let trajs: Vec<_> = ds.trajectories.iter().take(10).cloned().collect();
-        let expected = sequential_labels(&model, &net, &trajs);
-        let mut adapter =
-            SingleSession::new(StreamEngine::new(Arc::clone(&model), Arc::clone(&net)));
-        assert_eq!(adapter.name(), "RL4OASD");
-        let got: Vec<Vec<u8>> = trajs.iter().map(|t| adapter.label_trajectory(t)).collect();
-        assert_eq!(got, expected);
     }
 
     #[test]

@@ -1,15 +1,14 @@
 //! Async serving entry point for RL4OASD: the
 //! [`traj::IngestFrontDoor`] instantiated over [`StreamEngine`] shards.
 //!
-//! [`crate::ShardedEngine`] scales session serving across cores but is
-//! still driven tick-synchronously — one caller owns the engine and hands
-//! it whole ticks. [`IngestEngine`] is its asynchronous counterpart for
-//! the paper's actual arrival pattern (independent per-point GPS events
-//! from a fleet): the same shard layout — N [`StreamEngine`]s behind one
-//! `Arc<TrainedModel>` + `Arc<RoadNetwork>`, zero weight duplication —
-//! but each shard is owned by a **persistent worker thread** fed through
-//! a bounded ingress queue, group-committing arrivals into `observe_batch`
-//! ticks ([`traj::FlushPolicy`]).
+//! [`IngestEngine`] is the multi-core serving engine for the paper's
+//! arrival pattern (independent per-point GPS events from a fleet). It has
+//! the shard layout of the synchronous reference [`crate::ShardedEngine`]
+//! — N [`StreamEngine`]s behind one `Arc<TrainedModel>` +
+//! `Arc<RoadNetwork>`, zero weight duplication — but each shard is owned
+//! by a **persistent worker thread** fed through a bounded ingress queue,
+//! group-committing arrivals into `observe_batch` ticks
+//! ([`traj::FlushPolicy`]).
 //!
 //! Producers keep only a cheap cloneable [`IngestHandle`]; labels return
 //! through per-session [`traj::Subscription`]s — or, for a consumer with
@@ -53,10 +52,10 @@ pub struct IngestReport {
 /// The asynchronous RL4OASD serving engine: a [`traj::IngestFrontDoor`]
 /// over N [`StreamEngine`] shards sharing one immutable trained model.
 ///
-/// Unlike [`crate::ShardedEngine`], which a single driver thread ticks
-/// through `observe_batch`, this engine is fed from any number of
-/// producer threads via [`IngestEngine::handle`] and does its model work
-/// on persistent per-shard workers. See [`crate::ingest`] module docs.
+/// Unlike [`crate::ShardedEngine`], the synchronous reference that the
+/// caller ticks through `observe_batch` on its own thread, this engine is
+/// fed from any number of producer threads via [`IngestEngine::handle`]
+/// and does its model work on persistent per-shard workers. See [`crate::ingest`] module docs.
 pub struct IngestEngine {
     door: IngestFrontDoor<StreamEngine>,
     /// The telemetry handle the engine was built with

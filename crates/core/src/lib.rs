@@ -26,10 +26,11 @@
 //! paper's Table IV variants.
 //!
 //! The serving stack on top — [`engine::StreamEngine`] →
-//! [`sharded::ShardedEngine`] → [`ingest::IngestEngine`], with zero-downtime
-//! model hot-swap via [`engine::StreamEngine::swap_model`] /
-//! [`ingest::SwapModel`] — is documented layer by layer, with its
-//! bit-identity invariants and the tests enforcing each, in
+//! [`ingest::IngestEngine`], with zero-downtime model hot-swap via
+//! [`engine::StreamEngine::swap_model`] / [`ingest::SwapModel`], and
+//! [`sharded::ShardedEngine`] as the synchronous reference the
+//! byte-identity tests compare against — is documented layer by layer,
+//! with its bit-identity invariants and the tests enforcing each, in
 //! `docs/ARCHITECTURE.md` at the repository root.
 
 #![deny(missing_docs)]

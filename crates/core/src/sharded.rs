@@ -1,25 +1,21 @@
-//! Multi-core session serving: shard the fleet across N [`StreamEngine`]s
-//! behind one shared trained model.
+//! The synchronous sharded reference: N [`StreamEngine`] shards behind one
+//! shared trained model, driven on the calling thread.
 //!
-//! [`StreamEngine`] is single-threaded by design — one slab, one scratch —
-//! so its throughput plateaus at one core no matter how many are available.
-//! Online detection is embarrassingly parallel across trips: once the
-//! trained model is shared read-only, per-session state is fully
-//! independent. [`ShardedEngine`] exploits exactly that: sessions are
-//! hashed onto one of N `StreamEngine` shards, every shard owns its own
-//! `SessionSlab` + tick scratch, and all shards share **one**
+//! Sessions are hashed onto one of N `StreamEngine` shards; every shard
+//! owns its own `SessionSlab` + tick scratch, and all shards share **one**
 //! `Arc<TrainedModel>` + `Arc<RoadNetwork>` — zero weight duplication.
-//!
-//! The tick-parallel drive path ([`traj::SessionEngine::observe_batch`])
-//! partitions each tick's events by shard and advances the shards on
-//! scoped worker threads (`std::thread::scope`; no extra dependencies).
-//! Within a shard the existing batched LSTM/head kernels still apply, so
-//! per-point cost keeps the PR 1 batching win *and* scales across cores.
+//! [`traj::SessionEngine::observe_batch`] partitions each tick's events by
+//! shard and runs each shard's batched round in turn, then scatters the
+//! labels back into caller order.
 //!
 //! Because a session's events always reach the same shard in order, the
 //! [`StreamEngine`] interleaving-invariance contract lifts directly:
 //! labels, decisions and per-session outputs are **byte-identical for
-//! every shard count** (property-tested in `tests/sharded.rs`).
+//! every shard count** (property-tested in `tests/sharded.rs`). That makes
+//! [`ShardedEngine`] the oracle the hot-swap, telemetry, hibernation and
+//! scenario suites compare the multi-core [`crate::IngestEngine`] against;
+//! multi-core serving itself is `IngestEngine`, with one persistent worker
+//! thread per shard.
 
 use crate::engine::{EngineStats, EpochStats, HibernationConfig, StreamEngine};
 use crate::train::TrainedModel;
@@ -28,10 +24,10 @@ use rnet::{RoadNetwork, SegmentId};
 use std::sync::Arc;
 use traj::{SdPair, SessionEngine, SessionId, Sharded};
 
-/// A shard-parallel [`StreamEngine`]: N independent shards, one shared
-/// immutable model, sessions hashed to shards, ticks driven across worker
-/// threads. Implements the same [`SessionEngine`] surface as a single
-/// engine, with aggregated [`ShardedEngine::stats`] /
+/// A sharded [`StreamEngine`]: N independent shards, one shared immutable
+/// model, sessions hashed to shards, ticks driven on the calling thread.
+/// Implements the same [`SessionEngine`] surface as a single engine, with
+/// aggregated [`ShardedEngine::stats`] /
 /// [`ShardedEngine::decision_counts`].
 pub struct ShardedEngine {
     inner: Sharded<StreamEngine>,
@@ -40,7 +36,6 @@ pub struct ShardedEngine {
 impl ShardedEngine {
     /// Builds `shards` engines over one shared trained model and road
     /// network (the `Arc`s are cloned per shard; the weights are not).
-    /// Uses one worker thread per shard; see [`ShardedEngine::with_threads`].
     ///
     /// # Panics
     /// Panics if `shards == 0`.
@@ -74,13 +69,6 @@ impl ShardedEngine {
                 StreamEngine::new(Arc::clone(&model), Arc::clone(&net))
             }),
         }
-    }
-
-    /// Caps the worker threads used per tick (clamped to `1..=shards`;
-    /// `1` keeps the drive path entirely on the calling thread).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.inner = self.inner.with_threads(threads);
-        self
     }
 
     /// Builder form of [`ShardedEngine::set_hibernation`].
@@ -117,11 +105,6 @@ impl ShardedEngine {
     /// Number of shards.
     pub fn num_shards(&self) -> usize {
         self.inner.num_shards()
-    }
-
-    /// Worker-thread cap for the tick-parallel drive path.
-    pub fn threads(&self) -> usize {
-        self.inner.threads()
     }
 
     /// The model new sessions are currently opened under (held by every
@@ -252,15 +235,11 @@ impl SessionEngine for ShardedEngine {
     fn maintain(&mut self) {
         self.inner.maintain()
     }
-}
 
-// The sharded drive path moves `StreamEngine`s across scoped threads; keep
-// that guarantee explicit so a future non-Send field fails here, not at a
-// distant call site.
-const _: fn() = || {
-    fn assert_send<T: Send>() {}
-    assert_send::<StreamEngine>();
-};
+    fn admit(&self, segment: SegmentId) -> bool {
+        self.inner.admit(segment)
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -362,6 +341,26 @@ mod tests {
             engine.close(h);
         }
         assert_eq!(engine.stats().sessions_closed, 64);
+    }
+
+    #[test]
+    fn admit_matches_single_engine() {
+        let (net, _, model) = setup(34);
+        let single = StreamEngine::new(Arc::clone(&model), Arc::clone(&net));
+        let last = SegmentId(net.num_segments() as u32 - 1);
+        let past = SegmentId(net.num_segments() as u32);
+        assert!(single.admit(last));
+        assert!(!single.admit(past));
+        for shards in [1, 2, 8] {
+            let sharded = ShardedEngine::new(Arc::clone(&model), Arc::clone(&net), shards);
+            for segment in [last, past] {
+                assert_eq!(
+                    sharded.admit(segment),
+                    single.admit(segment),
+                    "{shards} shards disagree on {segment:?}"
+                );
+            }
+        }
     }
 
     #[test]

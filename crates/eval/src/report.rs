@@ -1,6 +1,6 @@
 //! Plain-text table rendering for the benchmark binaries.
 //!
-//! The `bench-suite` binaries print paper-style tables; this module keeps
+//! The `bench_suite` binaries print paper-style tables; this module keeps
 //! the column alignment logic in one place.
 
 /// A simple fixed-width text table.

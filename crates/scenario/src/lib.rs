@@ -15,8 +15,8 @@
 //!   is a pure function of the world, the spec and the seed, so any run
 //!   replays byte-identically (same event stream, same ground truth) —
 //!   property-tested in `tests/scenarios.rs`;
-//! * a [`ScenarioRunner`] drives the **same trace** through any serving
-//!   path — the synchronous `ShardedEngine`, the async
+//! * a [`ScenarioRunner`] drives the **same trace** through the
+//!   synchronous reference `ShardedEngine`, the multi-core async
 //!   `IngestFrontDoor`, or a loopback `oasd-serve` network server
 //!   ([`Driver::Net`]) — and scores the emitted labels against the trace's
 //!   ground truth (segment-level precision/recall/F1 and the paper's

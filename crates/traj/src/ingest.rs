@@ -15,11 +15,9 @@
 //!   lands in the same FIFO queue, so per-session order is preserved and a
 //!   slow shard never stalls the others;
 //! * **persistent worker threads** — each shard is owned by one worker
-//!   spawned once at construction (no `std::thread::scope` re-spawn per
-//!   tick, so thread start-up cost leaves the hot path entirely); the
-//!   worker also owns its batch/label scratch buffers, reused across
-//!   flushes — the per-shard tick scratch of `Sharded`, promoted to
-//!   worker-owned allocations;
+//!   spawned once at construction, so shards advance in parallel with no
+//!   thread start-up on the hot path; the worker also owns its
+//!   batch/label scratch buffers, reused across flushes;
 //! * **opportunistic group commit** — a worker with events pending takes
 //!   whatever is already queued (up to [`FlushPolicy::max_batch`]) and
 //!   flushes it into its shard as one `observe_batch` tick the moment the

@@ -20,12 +20,12 @@
 //! together with its fleet-scale counterpart [`session::SessionEngine`]:
 //! a session-oriented serving API (`open`/`observe`/`close`) that
 //! multiplexes many concurrent trajectories over one detector, with
-//! [`session::SessionMux`] lifting any detector factory to an engine,
-//! [`session::Sharded`] scaling any engine across cores by hashing
-//! sessions onto independent shards, and [`session::SingleSession`]
-//! adapting an engine back to a detector. [`ingest::IngestFrontDoor`]
-//! is the asynchronous entry point over any of these: per-shard bounded
-//! ingress queues and persistent worker threads group-commit independent
+//! [`session::SessionMux`] lifting any detector factory to an engine and
+//! [`session::Sharded`] hashing sessions onto independent shards driven
+//! on the calling thread (the synchronous reference the byte-identity
+//! tests compare against). [`ingest::IngestFrontDoor`] is the multi-core,
+//! asynchronous entry point over any engine: per-shard bounded ingress
+//! queues and persistent worker threads group-commit independent
 //! per-point arrivals into `observe_batch` ticks and push the labels into
 //! bounded, push-woken [`sink::LabelSink`]s,
 //! with typed [`ingest::IngestHandle::control`] commands (e.g. model
@@ -59,9 +59,7 @@ pub use ingest::{
     ShutdownReport, SubmitError, Subscription, FAULT_INJECTION_MARKER,
 };
 pub use labels::{extract_subtrajectories, LabelSpan};
-pub use session::{
-    SessionEngine, SessionId, SessionMux, SessionSlab, Sharded, SingleSession, SupervisedEngine,
-};
+pub use session::{SessionEngine, SessionId, SessionMux, SessionSlab, Sharded, SupervisedEngine};
 pub use sink::{LabelSink, SinkConsumer, SinkEvent};
 pub use types::{
     slot_of_time, GpsPoint, MappedTrajectory, RawTrajectory, SdPair, TrajectoryId, Transition,

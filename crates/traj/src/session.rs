@@ -11,15 +11,12 @@
 //! every session that received a point in the same tick in one batched
 //! model pass (see `rl4oasd::StreamEngine`).
 //!
-//! Two adapters bridge the old and new interfaces:
-//!
-//! * [`SessionMux`] lifts any [`OnlineDetector`] factory to a
-//!   [`SessionEngine`] by giving each session its own detector value
-//!   (cheap for the heuristic baselines, which share their fitted
-//!   statistics behind an `Arc`);
-//! * [`SingleSession`] wraps a [`SessionEngine`] back into an
-//!   [`OnlineDetector`], making the per-trajectory trait a thin
-//!   single-session view of the engine.
+//! [`SessionMux`] lifts any [`OnlineDetector`] factory to a
+//! [`SessionEngine`] by giving each session its own detector value; the
+//! door and routing tests build their stand-in engines with it.
+//! [`Sharded`] is the synchronous, single-threaded reference driver that
+//! the byte-identity tests compare the multi-core
+//! [`crate::ingest::IngestFrontDoor`] against.
 
 use crate::detector::OnlineDetector;
 use crate::hibernate::{FrozenArena, FrozenRef, Hibernate};
@@ -165,45 +162,6 @@ pub trait SupervisedEngine: SessionEngine {
     /// (e.g. it is pinned to a model epoch this engine does not have);
     /// the caller quarantines such sessions.
     fn import_session(&mut self, blob: &[u8]) -> Option<SessionId>;
-}
-
-impl<E: SessionEngine + ?Sized> SessionEngine for Box<E> {
-    fn engine_name(&self) -> &'static str {
-        (**self).engine_name()
-    }
-    fn open(&mut self, sd: SdPair, start_time: f64) -> SessionId {
-        (**self).open(sd, start_time)
-    }
-    fn open_scoped(&mut self, scope: u32, sd: SdPair, start_time: f64) -> SessionId {
-        (**self).open_scoped(scope, sd, start_time)
-    }
-    fn observe(&mut self, session: SessionId, segment: SegmentId) -> u8 {
-        (**self).observe(session, segment)
-    }
-    fn close(&mut self, session: SessionId) -> Vec<u8> {
-        (**self).close(session)
-    }
-    fn observe_batch(&mut self, events: &[(SessionId, SegmentId)], out: &mut Vec<u8>) {
-        (**self).observe_batch(events, out)
-    }
-    fn maintain(&mut self) {
-        (**self).maintain()
-    }
-    fn admit(&self, segment: SegmentId) -> bool {
-        (**self).admit(segment)
-    }
-    fn active_sessions(&self) -> usize {
-        (**self).active_sessions()
-    }
-}
-
-impl<E: SupervisedEngine + ?Sized> SupervisedEngine for Box<E> {
-    fn export_sessions(&mut self) -> Vec<(SessionId, Vec<u8>)> {
-        (**self).export_sessions()
-    }
-    fn import_session(&mut self, blob: &[u8]) -> Option<SessionId> {
-        (**self).import_session(blob)
-    }
 }
 
 /// Which tier a slot's session currently lives in.
@@ -622,8 +580,9 @@ struct ShardLane {
     out: Vec<u8>,
 }
 
-/// Shards any [`SessionEngine`] across N independent instances, scaling
-/// session serving across cores with zero shared mutable state.
+/// Shards any [`SessionEngine`] across N independent instances, driven
+/// synchronously on the calling thread: the single-threaded reference the
+/// byte-identity tests compare the multi-core paths against.
 ///
 /// New sessions are hashed to a shard on `open`; from then on every event
 /// of that session goes to the same shard, so per-shard event order equals
@@ -632,38 +591,26 @@ struct ShardLane {
 /// **byte-identical for every shard count**, including 1 (property-tested
 /// in `tests/sharded.rs`).
 ///
-/// [`Sharded::observe_batch`] is the tick-parallel drive path: the tick's
-/// events are partitioned by shard and the shards advance concurrently on
-/// up to `threads` scoped worker threads (`std::thread::scope` — no
-/// channels, no pools, no dependencies). Shards share whatever their
-/// constructor shared (e.g. one `Arc` of model weights), so memory grows
-/// only with per-shard scratch, not with model copies.
-///
-/// The scoped threads are re-spawned every tick — the price of accepting
-/// non-`'static` engines (the borrowing baselines) behind a `&mut self`
-/// call. When the engines are `Send + 'static`, prefer the async
-/// [`crate::ingest::IngestFrontDoor`]: it owns one **persistent** worker
-/// thread per shard (spawned once, never per tick) which also owns the
-/// per-shard event/label scratch as reused allocations — the `ShardLane`
-/// buffers below, promoted out of the hot path.
+/// [`Sharded::observe_batch`] partitions the tick's events by shard, runs
+/// each shard's own `observe_batch` in turn (so every shard still sees
+/// batched rounds) and scatters the labels back into caller order. Shards
+/// share whatever their constructor shared (e.g. one `Arc` of model
+/// weights). Multi-core serving is [`crate::ingest::IngestFrontDoor`]: one
+/// persistent worker thread per shard behind a bounded ingress queue.
 pub struct Sharded<E> {
     shards: Vec<E>,
     routes: SessionSlab<Route>,
-    threads: usize,
     lanes: Vec<ShardLane>,
 }
 
 impl<E: SessionEngine> Sharded<E> {
     /// Builds a sharded engine from pre-constructed shards (at least one).
-    /// Defaults to one worker thread per shard; see [`Sharded::with_threads`].
     pub fn from_shards(shards: Vec<E>) -> Self {
         assert!(!shards.is_empty(), "need at least one shard");
-        let threads = shards.len();
         let lanes = shards.iter().map(|_| ShardLane::default()).collect();
         Sharded {
             shards,
             routes: SessionSlab::new(),
-            threads,
             lanes,
         }
     }
@@ -673,21 +620,9 @@ impl<E: SessionEngine> Sharded<E> {
         Self::from_shards((0..n).map(&mut factory).collect())
     }
 
-    /// Caps the worker threads used per [`Sharded::observe_batch`] tick
-    /// (clamped to `1..=num_shards`; `1` disables spawning entirely).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.clamp(1, self.shards.len());
-        self
-    }
-
     /// Number of shards.
     pub fn num_shards(&self) -> usize {
         self.shards.len()
-    }
-
-    /// Worker-thread cap for the tick-parallel drive path.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// The shards, for per-shard inspection (stats aggregation etc.).
@@ -718,7 +653,7 @@ impl<E: SessionEngine> Sharded<E> {
     }
 }
 
-impl<E: SessionEngine + Send> SessionEngine for Sharded<E> {
+impl<E: SessionEngine> SessionEngine for Sharded<E> {
     fn engine_name(&self) -> &'static str {
         self.shards[0].engine_name()
     }
@@ -751,10 +686,10 @@ impl<E: SessionEngine + Send> SessionEngine for Sharded<E> {
         self.shards[route.shard as usize].observe(route.inner, segment)
     }
 
-    /// Tick-parallel drive: partitions the tick's events by shard and
-    /// advances every shard with events concurrently (each through its own
-    /// `observe_batch`, so batched nn kernels still apply within a shard),
-    /// then scatters the labels back into caller order.
+    /// Partitions the tick's events by shard, advances each shard that
+    /// received events through its own `observe_batch` (so batched nn
+    /// kernels still apply within a shard), then scatters the labels back
+    /// into caller order.
     fn observe_batch(&mut self, events: &[(SessionId, SegmentId)], out: &mut Vec<u8>) {
         for lane in &mut self.lanes {
             lane.events.clear();
@@ -769,36 +704,10 @@ impl<E: SessionEngine + Send> SessionEngine for Sharded<E> {
             lane.events.push((route.inner, segment));
             lane.idx.push(i as u32);
         }
-
-        let mut active: Vec<(&mut E, &mut ShardLane)> = self
-            .shards
-            .iter_mut()
-            .zip(self.lanes.iter_mut())
-            .filter(|(_, lane)| !lane.events.is_empty())
-            .collect();
-        if active.len() <= 1 || self.threads <= 1 {
-            for (shard, lane) in active {
+        for (shard, lane) in self.shards.iter_mut().zip(&mut self.lanes) {
+            if !lane.events.is_empty() {
                 shard.observe_batch(&lane.events, &mut lane.out);
             }
-        } else {
-            // One scoped worker per chunk of shards; the current thread
-            // takes the first chunk, saving one spawn per tick.
-            let workers = self.threads.min(active.len());
-            let per = active.len().div_ceil(workers);
-            std::thread::scope(|scope| {
-                let mut chunks = active.chunks_mut(per);
-                let first = chunks.next().expect("at least one active shard");
-                for chunk in chunks {
-                    scope.spawn(move || {
-                        for (shard, lane) in chunk {
-                            shard.observe_batch(&lane.events, &mut lane.out);
-                        }
-                    });
-                }
-                for (shard, lane) in first {
-                    shard.observe_batch(&lane.events, &mut lane.out);
-                }
-            });
         }
 
         out.clear();
@@ -836,13 +745,12 @@ impl<E: SessionEngine + Send> SessionEngine for Sharded<E> {
 }
 
 /// Lifts an [`OnlineDetector`] factory to a [`SessionEngine`]: each session
-/// owns one detector value produced by the factory.
+/// owns one detector value produced by the factory, so per-session labels
+/// are identical to the per-trajectory path by construction.
 ///
-/// This is how the baselines (IBOAT, DBTOD, CTSS, the GM-VSAE family via
-/// `Thresholded`) gain the session API without per-detector changes —
-/// their heavy fitted state lives behind `Arc`s, so per-session values are
-/// cheap. Per-session labels are identical to the per-trajectory path by
-/// construction.
+/// It is the cheapest way to put a stand-in engine behind the session API:
+/// the door and routing tests, and the `IngestFrontDoor` example, build
+/// their test engines with it.
 pub struct SessionMux<D, F> {
     name: &'static str,
     factory: F,
@@ -894,65 +802,10 @@ impl<D: OnlineDetector, F: FnMut() -> D> SessionEngine for SessionMux<D, F> {
     }
 }
 
-/// Wraps a [`SessionEngine`] into an [`OnlineDetector`] driving exactly one
-/// session at a time — the per-trajectory trait as a thin view of the
-/// fleet-scale engine.
-pub struct SingleSession<E: SessionEngine> {
-    engine: E,
-    current: Option<SessionId>,
-}
-
-impl<E: SessionEngine> SingleSession<E> {
-    /// Wraps an engine.
-    pub fn new(engine: E) -> Self {
-        SingleSession {
-            engine,
-            current: None,
-        }
-    }
-
-    /// The wrapped engine.
-    pub fn engine(&self) -> &E {
-        &self.engine
-    }
-
-    /// Unwraps the engine, abandoning any open session.
-    pub fn into_engine(mut self) -> E {
-        if let Some(session) = self.current.take() {
-            self.engine.close(session);
-        }
-        self.engine
-    }
-}
-
-impl<E: SessionEngine> OnlineDetector for SingleSession<E> {
-    fn name(&self) -> &'static str {
-        self.engine.engine_name()
-    }
-
-    fn begin(&mut self, sd: SdPair, start_time: f64) {
-        if let Some(previous) = self.current.take() {
-            self.engine.close(previous);
-        }
-        self.current = Some(self.engine.open(sd, start_time));
-    }
-
-    fn observe(&mut self, segment: SegmentId) -> u8 {
-        let session = self.current.expect("observe before begin");
-        self.engine.observe(session, segment)
-    }
-
-    fn finish(&mut self) -> Vec<u8> {
-        let session = self.current.take().expect("finish before begin");
-        self.engine.close(session)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::detector::AlwaysNormal;
-    use crate::types::{MappedTrajectory, TrajectoryId};
 
     fn sd(a: u32, b: u32) -> SdPair {
         SdPair {
@@ -1342,7 +1195,6 @@ mod tests {
     fn sharded_mux_routes_and_orders_events() {
         let mut engine = Sharded::build(3, |_| SessionMux::new(Parity::default));
         assert_eq!(engine.num_shards(), 3);
-        assert_eq!(engine.threads(), 3);
         assert_eq!(engine.engine_name(), "Parity");
 
         let handles: Vec<_> = (0..10).map(|k| engine.open(sd(k, k + 1), 0.0)).collect();
@@ -1382,10 +1234,8 @@ mod tests {
     }
 
     #[test]
-    fn sharded_spreads_sessions_and_clamps_threads() {
-        let mut engine =
-            Sharded::build(4, |_| SessionMux::new(AlwaysNormal::default)).with_threads(64);
-        assert_eq!(engine.threads(), 4, "threads clamp to the shard count");
+    fn sharded_spreads_sessions() {
+        let mut engine = Sharded::build(4, |_| SessionMux::new(AlwaysNormal::default));
         let mut per_shard = [0usize; 4];
         let handles: Vec<_> = (0..64).map(|_| engine.open(sd(0, 9), 0.0)).collect();
         for &h in &handles {
@@ -1398,8 +1248,6 @@ mod tests {
         for h in handles {
             engine.close(h);
         }
-        let single = Sharded::build(1, |_| SessionMux::new(AlwaysNormal::default));
-        assert_eq!(single.with_threads(0).threads(), 1);
     }
 
     #[test]
@@ -1415,21 +1263,5 @@ mod tests {
         let h = engine.open(sd(0, 9), 0.0);
         engine.close(h);
         engine.observe(h, SegmentId(0));
-    }
-
-    #[test]
-    fn single_session_adapter_behaves_like_detector() {
-        let t = MappedTrajectory {
-            id: TrajectoryId(0),
-            segments: vec![SegmentId(0), SegmentId(1), SegmentId(2)],
-            start_time: 0.0,
-        };
-        let mut adapter = SingleSession::new(SessionMux::new(AlwaysNormal::default));
-        assert_eq!(adapter.label_trajectory(&t), vec![0, 0, 0]);
-        // reusable: begin closes the previous session implicitly
-        adapter.begin(sd(0, 2), 0.0);
-        adapter.observe(SegmentId(0));
-        assert_eq!(adapter.label_trajectory(&t), vec![0, 0, 0]);
-        assert_eq!(adapter.engine().active_sessions(), 0);
     }
 }

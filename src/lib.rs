@@ -76,8 +76,7 @@ pub mod prelude {
         silence_injected_panic_output, Dataset, DriftConfig, FlushPolicy, IngestConfig,
         IngestFrontDoor, IngestHandle, IngestStats, LatencyHistogram, MappedTrajectory,
         OnlineDetector, Priority, RetryPolicy, SdPair, SessionEngine, SessionFault, SessionId,
-        SessionMux, Sharded, SingleSession, SubmitError, TrafficConfig, TrafficSimulator,
-        FAULT_INJECTION_MARKER,
+        SessionMux, Sharded, SubmitError, TrafficConfig, TrafficSimulator, FAULT_INJECTION_MARKER,
     };
 }
 

@@ -1,6 +1,6 @@
 //! Shared drivers and fixtures for the session-engine integration tests:
 //! the same interleaving schedule must be replayable against different
-//! engines (single, muxed, sharded) so cross-file equivalence claims
+//! engines (single, sharded) so cross-file equivalence claims
 //! compare the exact same workload — and the same fixture recipe must be
 //! buildable on either city generator so every suite can run
 //! cross-network.
@@ -56,9 +56,8 @@ pub fn build_city(kind: CityKind, seed: u64) -> RoadNetwork {
 pub struct EngineFixture {
     pub net: Arc<RoadNetwork>,
     pub model: Arc<TrainedModel>,
-    pub stats: Arc<RouteStats>,
-    /// The training corpus (kept so suites can train variant models or
-    /// fit baseline statistics on the exact same data).
+    /// The training corpus (kept so suites can train variant models on
+    /// the exact same data).
     pub ds: Dataset,
     pub trajs: Vec<MappedTrajectory>,
 }
@@ -76,7 +75,6 @@ pub fn trained_fixture(kind: CityKind, seed: u64) -> EngineFixture {
     };
     let ds = Dataset::from_generated(&TrafficSimulator::new(&net, cfg).generate());
     let model = Arc::new(rl4oasd::train(&net, &ds, &Rl4oasdConfig::tiny(seed)));
-    let stats = Arc::new(RouteStats::fit(&ds));
     let trajs: Vec<MappedTrajectory> = ds
         .trajectories
         .iter()
@@ -86,7 +84,6 @@ pub fn trained_fixture(kind: CityKind, seed: u64) -> EngineFixture {
     EngineFixture {
         net: Arc::new(net),
         model,
-        stats,
         ds,
         trajs,
     }
@@ -97,7 +94,7 @@ pub fn trained_fixture(kind: CityKind, seed: u64) -> EngineFixture {
 /// the still-active sessions via `observe_batch` (so ticks mix batch sizes
 /// 1, 2, ... n), then closes everything. Identical schedule for identical
 /// seeds, so two engines fed the same seed see the same workload.
-pub fn interleaved<E: SessionEngine + ?Sized>(
+pub fn interleaved<E: SessionEngine>(
     engine: &mut E,
     trajs: &[&MappedTrajectory],
     schedule_seed: u64,

@@ -1,8 +1,7 @@
 //! Integration tests of the fleet-scale session engine: interleaving many
-//! concurrent trajectories through `StreamEngine` (RL4OASD) or a
-//! `SessionMux` (every baseline) must yield byte-identical labels to
-//! driving each trajectory alone through the per-trajectory
-//! `OnlineDetector` path — and the engine must sustain the scale the
+//! concurrent trajectories through `StreamEngine` must yield
+//! byte-identical labels to driving each trajectory alone through the
+//! per-trajectory `Rl4oasdDetector` path — and the engine must sustain the scale the
 //! serving layer is built for (thousands of sessions, tens of thousands of
 //! interleaved observes, batched nn ticks).
 
@@ -39,43 +38,6 @@ proptest! {
         let mut engine = StreamEngine::new(Arc::clone(&fx.model), Arc::clone(&fx.net));
         let got = interleaved(&mut engine, &trajs, seed);
         prop_assert_eq!(got, expected);
-    }
-
-    /// Every baseline behind the generic session wrapper: interleaving is
-    /// byte-identical to the sequential path.
-    #[test]
-    fn baseline_engines_match_sequential(seed in 0u64..10_000, n in 2usize..16) {
-        let fx = fixture();
-        let trajs: Vec<&MappedTrajectory> = fx.trajs.iter().take(n).collect();
-
-        // IBOAT
-        let expected = sequential(
-            Thresholded::new(Iboat::new(Arc::clone(&fx.stats), 0.05), 0.5),
-            &trajs,
-        );
-        let mut engine = baselines::iboat_engine(Arc::clone(&fx.stats), 0.05, 0.5);
-        prop_assert_eq!(interleaved(&mut engine, &trajs, seed), expected);
-
-        // DBTOD
-        let weights = [1.0, 0.5, 0.25, 0.5, 1.0, 0.75];
-        let expected = sequential(
-            {
-                let mut d = Dbtod::new(&fx.net, Arc::clone(&fx.stats));
-                d.weights = weights;
-                Thresholded::new(d, 2.0)
-            },
-            &trajs,
-        );
-        let mut engine = baselines::dbtod_engine(&fx.net, Arc::clone(&fx.stats), weights, 2.0);
-        prop_assert_eq!(interleaved(&mut engine, &trajs, seed), expected);
-
-        // CTSS
-        let expected = sequential(
-            Thresholded::new(Ctss::new(&fx.net, Arc::clone(&fx.stats)), 150.0),
-            &trajs,
-        );
-        let mut engine = baselines::ctss_engine(&fx.net, Arc::clone(&fx.stats), 150.0);
-        prop_assert_eq!(interleaved(&mut engine, &trajs, seed), expected);
     }
 }
 

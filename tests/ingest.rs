@@ -156,35 +156,6 @@ proptest! {
             }
         }
     }
-
-    /// IBOAT through the generic combinator: per-session labels identical
-    /// to the synchronous mux for every shard count.
-    #[test]
-    fn ingest_baseline_matches_sync_mux(seed in 0u64..10_000, n in 2usize..10) {
-        let fx = fixture();
-        let trajs: Vec<&MappedTrajectory> = fx.trajs.iter().take(n).collect();
-        let mut reference = baselines::iboat_engine(Arc::clone(&fx.stats), 0.05, 0.5);
-        let expected = interleaved(&mut reference, &trajs, seed);
-
-        for shards in SHARD_COUNTS {
-            let door = baselines::ingest_iboat_engine(
-                Arc::clone(&fx.stats),
-                0.05,
-                0.5,
-                shards,
-                IngestConfig {
-                    flush: FlushPolicy::new(4),
-                    ..Default::default()
-                },
-            );
-            let got = drive_ingest(&door.handle(), &trajs, seed);
-            let report = door.shutdown();
-            let finals: Vec<Vec<u8>> = got.into_iter().map(|(_, f)| f).collect();
-            prop_assert!(finals == expected, "IBOAT diverged at {} shards", shards);
-            let open: usize = report.engines.iter().map(|e| e.active_sessions()).sum();
-            prop_assert_eq!(open, 0);
-        }
-    }
 }
 
 /// Graceful shutdown flushes and delivers every event accepted before the

@@ -1,16 +1,12 @@
-//! Shard-invariance harness for the multi-core serving path: a
-//! `ShardedEngine` (or a sharded baseline) must produce **byte-identical**
-//! labels and anomaly decisions to a single `StreamEngine` (or unsharded
-//! mux) on the same workload, for every shard count — sharding is a pure
-//! throughput transformation, never a behavioural one. The property tests
-//! drive random session interleavings through shard counts 1, 2 and 8;
+//! Shard-invariance harness for the synchronous sharded reference: a
+//! `ShardedEngine` must produce **byte-identical** labels and anomaly
+//! decisions to a single `StreamEngine` on the same workload, for every
+//! shard count — sharding never changes behaviour. The property test
+//! drives random session interleavings through shard counts 1, 2 and 8;
 //! the stats tests pin the aggregation contract (engine totals = sum of
 //! per-shard values = single-engine totals for workload-invariant fields).
-//!
-//! These tests also exercise the scoped-thread tick drive (threads default
-//! to one per shard), so thread-safety regressions in the sharded path
-//! fail here — in CI via the release test job — not just under manual
-//! stress runs.
+//! The multi-core `IngestEngine` is held to the same labels in
+//! `tests/ingest.rs`.
 
 use proptest::prelude::*;
 use rl4oasd::ShardedEngine;
@@ -52,50 +48,6 @@ proptest! {
             prop_assert_eq!(engine.active_sessions(), 0);
             // Decisions, not just labels: RNEL/policy splits are identical.
             prop_assert_eq!(engine.decision_counts(), single.decision_counts());
-        }
-    }
-
-    /// Every sharded baseline: byte-identical labels to its unsharded mux
-    /// across shard counts, for random interleavings.
-    #[test]
-    fn sharded_baselines_are_shard_invariant(seed in 0u64..10_000, n in 2usize..14) {
-        let fx = fixture();
-        let trajs: Vec<&MappedTrajectory> = fx.trajs.iter().take(n).collect();
-        let weights = [1.0, 0.5, 0.25, 0.5, 1.0, 0.75];
-
-        let mut expected = Vec::new();
-        for (b, reference) in [
-            Box::new(baselines::iboat_engine(Arc::clone(&fx.stats), 0.05, 0.5))
-                as Box<dyn SessionEngine>,
-            Box::new(baselines::dbtod_engine(&fx.net, Arc::clone(&fx.stats), weights, 2.0)),
-            Box::new(baselines::ctss_engine(&fx.net, Arc::clone(&fx.stats), 150.0)),
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            let mut reference = reference;
-            expected.push((b, interleaved(&mut *reference, &trajs, seed)));
-        }
-
-        for shards in SHARD_COUNTS {
-            let engines: [Box<dyn SessionEngine>; 3] = [
-                Box::new(baselines::sharded_iboat_engine(
-                    Arc::clone(&fx.stats), 0.05, 0.5, shards,
-                )),
-                Box::new(baselines::sharded_dbtod_engine(
-                    &fx.net, Arc::clone(&fx.stats), weights, 2.0, shards,
-                )),
-                Box::new(baselines::sharded_ctss_engine(
-                    &fx.net, Arc::clone(&fx.stats), 150.0, shards,
-                )),
-            ];
-            for (mut engine, (b, want)) in engines.into_iter().zip(&expected) {
-                let got = interleaved(&mut *engine, &trajs, seed);
-                prop_assert!(
-                    &got == want,
-                    "baseline #{} with {} shards diverged", b, shards
-                );
-            }
         }
     }
 }
@@ -142,29 +94,6 @@ fn aggregated_stats_equal_per_shard_sums_and_single_engine() {
         "events lost or double-counted across shards"
     );
     assert_eq!(engine.decision_counts(), single.decision_counts());
-}
-
-/// The worker-thread cap is a pure scheduling knob: the same workload
-/// through 1-thread and N-thread drives of the same shard count yields
-/// identical labels and stats.
-#[test]
-fn thread_count_never_changes_results() {
-    let fx = fixture();
-    let trajs: Vec<&MappedTrajectory> = fx.trajs.iter().take(24).collect();
-
-    let mut serial =
-        ShardedEngine::new(Arc::clone(&fx.model), Arc::clone(&fx.net), 8).with_threads(1);
-    assert_eq!(serial.threads(), 1);
-    let expected = interleaved(&mut serial, &trajs, 7);
-
-    let mut parallel = ShardedEngine::new(Arc::clone(&fx.model), Arc::clone(&fx.net), 8);
-    assert_eq!(parallel.threads(), 8);
-    let got = interleaved(&mut parallel, &trajs, 7);
-
-    assert_eq!(got, expected);
-    assert_eq!(parallel.stats(), serial.stats());
-    assert_eq!(parallel.decision_counts(), serial.decision_counts());
-    assert_eq!(parallel.shard_stats(), serial.shard_stats());
 }
 
 /// Fleet-scale smoke of the sharded path: 2,000 concurrent sessions over 8
