@@ -191,7 +191,7 @@ impl SessionState {
     ) -> u8 {
         let (nrf, is_endpoint) = self.pre_step(view, segment);
         view.rsrnet.stream_step(
-            &view.packed.lstm,
+            view.packed,
             &mut self.stream,
             segment,
             nrf,

@@ -20,7 +20,8 @@
 //!   `hidden_dim` vectors and nothing else;
 //! * **batched ticks** — [`StreamEngine::observe_batch`] advances every
 //!   session that received a point in the same tick through *one* LSTM
-//!   pass over the packed gate matrix (`RsrNet::stream_step_batch`) and
+//!   pass over the packed recurrent gate matrix, each lane reading its
+//!   segment's input-gate table row (`RsrNet::stream_step_batch`), and
 //!   one policy-head pass, instead of N scalar passes. The batched
 //!   kernels use the exact accumulation order of the scalar path, so
 //!   labels are **bit-identical** to driving each trajectory alone
@@ -342,7 +343,10 @@ pub struct StreamEngine {
 
 impl StreamEngine {
     /// Builds an engine over a shared trained model and road network.
+    /// The model is packed here, on the constructing thread, so the first
+    /// `observe` never pays for it.
     pub fn new(model: Arc<TrainedModel>, net: Arc<RoadNetwork>) -> Self {
+        model.packed();
         StreamEngine {
             epochs: vec![Some(ModelEpoch {
                 model,
@@ -477,6 +481,7 @@ impl StreamEngine {
     /// without re-pointing anything at it — the shared tail of
     /// [`StreamEngine::swap_model`] and [`StreamEngine::set_scope_model`].
     fn install_epoch(&mut self, model: Arc<TrainedModel>) -> (u32, u32) {
+        model.packed();
         let seq = u32::try_from(self.epoch_log.len()).expect("more than 2^32 model swaps");
         self.epoch_log.push(EpochStats::default());
         let epoch = ModelEpoch {
@@ -809,15 +814,16 @@ impl StreamEngine {
                 lanes.push((ei, segment, state, pending));
             }
 
-            // Phase 2: one batched LSTM pass (on the packed gate matrix)
-            // advances every lane's stream.
+            // Phase 2: one batched LSTM pass (over the packed `W_h`, each
+            // lane reading its segment's input-gate row) advances every
+            // lane's stream.
             {
                 let mut streams: Vec<&mut crate::rsrnet::RsrStream> = lanes
                     .iter_mut()
                     .map(|(_, _, state, _)| state.stream_mut())
                     .collect();
                 view.rsrnet.stream_step_batch(
-                    &view.packed.lstm,
+                    view.packed,
                     &mut self.scratch.rsr,
                     &self.scratch.inputs,
                     &mut streams,
@@ -1156,6 +1162,28 @@ mod tests {
     ) -> Vec<Vec<u8>> {
         let mut det = Rl4oasdDetector::new(model, net);
         trajs.iter().map(|t| det.label_trajectory(t)).collect()
+    }
+
+    #[test]
+    fn models_are_packed_before_the_first_observe() {
+        let (net, _, model) = setup(22);
+        assert!(!model.is_packed());
+        let mut engine = StreamEngine::new(Arc::clone(&model), Arc::clone(&net));
+        assert!(
+            model.is_packed(),
+            "new() leaves packing to the first observe"
+        );
+        // A clone starts unpacked; swapping it in packs it.
+        for scoped in [false, true] {
+            let next = Arc::new(TrainedModel::clone(&model));
+            assert!(!next.is_packed());
+            if scoped {
+                engine.set_scope_model(7, Arc::clone(&next));
+            } else {
+                engine.swap_model(Arc::clone(&next));
+            }
+            assert!(next.is_packed(), "scoped swap: {scoped}");
+        }
     }
 
     #[test]

@@ -313,6 +313,15 @@ mod tests {
     }
 
     #[test]
+    fn ingest_engine_packs_on_the_constructing_thread() {
+        let (net, _, model) = setup(48);
+        assert!(!model.is_packed());
+        let engine = IngestEngine::new(Arc::clone(&model), net, 2, IngestConfig::default());
+        assert!(model.is_packed());
+        engine.shutdown();
+    }
+
+    #[test]
     fn ingest_engine_matches_synchronous_labels() {
         let (net, ds, model) = setup(47);
         let trajs: Vec<_> = ds

@@ -11,8 +11,9 @@
 //! at each road segment").
 
 use crate::config::Rl4oasdConfig;
+use crate::packed::PackedModel;
 use nn::ops;
-use nn::{Embedding, Linear, LstmCell, LstmCtx, LstmScratch, LstmState, PackedLstm};
+use nn::{Embedding, Linear, LstmCell, LstmCtx, LstmScratch, LstmState};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rnet::SegmentId;
@@ -68,7 +69,6 @@ impl RsrStream {
 /// serving engine allocates nothing per round once warm.
 #[derive(Debug, Default)]
 pub struct RsrBatch {
-    xh: Vec<f32>,
     c: Vec<f32>,
     h: Vec<f32>,
     z: Vec<f32>,
@@ -224,31 +224,35 @@ impl RsrNet {
     }
 
     /// One streaming step on packed weights, allocation-free: consumes a
-    /// segment and its NRF, advances the LSTM through `lstm` (the packed
-    /// form of `self.lstm`) with reusable scratch, and writes `z_i` into
-    /// `z`. Bit-identical to [`RsrNet::forward`]'s `z_i` — packing changes
-    /// layout, not values or reduction order.
+    /// segment and its NRF, advances the LSTM from the segment's row of
+    /// `packed`'s input-gate table (`packed` is the packed form of
+    /// `self`) with reusable scratch, and writes `z_i` into `z`.
+    /// Bit-identical to [`RsrNet::forward`]'s `z_i`: the table row holds
+    /// the same input half of the gates the training forward computes.
     pub fn stream_step(
         &self,
-        lstm: &PackedLstm,
+        packed: &PackedModel,
         stream: &mut RsrStream,
         seg: SegmentId,
         nrf: u8,
         scratch: &mut LstmScratch,
         z: &mut Vec<f32>,
     ) {
-        lstm.infer_step(self.embed.lookup(seg.idx()), &mut stream.state, scratch);
+        packed
+            .lstm
+            .infer_step_from(packed.input_gates(seg), &mut stream.state, scratch);
         z.clear();
         z.extend_from_slice(&stream.state.h);
         z.extend_from_slice(self.nrf_embed.lookup(nrf as usize));
     }
 
     /// Batched streaming step: advances `inputs.len()` independent streams
-    /// in one pass over the packed LSTM gate matrix `lstm`, writing each
-    /// lane's `z_i` into the flat `batch × z_dim` row-major `zs` buffer
-    /// (cleared first; lane `i`'s representation is
-    /// `zs[i*z_dim..(i+1)*z_dim]`). The flat layout keeps the serving hot
-    /// path allocation-free once buffers are warm.
+    /// in one pass over `packed`'s recurrent gate matrix, each lane reading
+    /// its segment's input-gate row in place, and writes each lane's `z_i`
+    /// into the flat `batch × z_dim` row-major `zs` buffer (cleared first;
+    /// lane `i`'s representation is `zs[i*z_dim..(i+1)*z_dim]`). Only the
+    /// lanes' `(h, c)` are gathered, and the flat layout keeps the serving
+    /// hot path allocation-free once buffers are warm.
     ///
     /// Per-lane results are **bit-identical** to [`RsrNet::stream_step`] —
     /// the batched LSTM kernel uses the same accumulation order — so a
@@ -259,27 +263,23 @@ impl RsrNet {
     /// Panics if `inputs` and `streams` have different lengths.
     pub fn stream_step_batch(
         &self,
-        lstm: &PackedLstm,
+        packed: &PackedModel,
         scratch: &mut RsrBatch,
         inputs: &[(SegmentId, u8)],
         streams: &mut [&mut RsrStream],
         zs: &mut Vec<f32>,
     ) {
         assert_eq!(inputs.len(), streams.len(), "lane count mismatch");
-        let batch = inputs.len();
         let hidden = self.lstm.hidden_dim();
-        scratch.xh.clear();
+        scratch.h.clear();
         scratch.c.clear();
-        for (&(seg, _), stream) in inputs.iter().zip(streams.iter()) {
-            scratch.xh.extend_from_slice(self.embed.lookup(seg.idx()));
-            scratch.xh.extend_from_slice(&stream.state.h);
+        for stream in streams.iter() {
+            scratch.h.extend_from_slice(&stream.state.h);
             scratch.c.extend_from_slice(&stream.state.c);
         }
-        scratch.h.clear();
-        scratch.h.resize(batch * hidden, 0.0);
-        lstm.infer_step_batch(
-            batch,
-            &scratch.xh,
+        packed.lstm.infer_step_from_batch(
+            inputs.len(),
+            |lane| packed.input_gates(inputs[lane].0),
             &mut scratch.c,
             &mut scratch.h,
             &mut scratch.z,
@@ -310,6 +310,12 @@ mod tests {
             ..Rl4oasdConfig::tiny(seed)
         };
         RsrNet::new(&cfg, 20, None)
+    }
+
+    /// The packed form of `net` (with an untrained policy head).
+    fn packed(net: &RsrNet) -> PackedModel {
+        let asdnet = crate::asdnet::AsdNet::new(&Rl4oasdConfig::tiny(0), net.z_dim());
+        PackedModel::of(net, &asdnet)
     }
 
     fn toy_batch() -> (Vec<SegmentId>, Vec<u8>, Vec<u8>) {
@@ -376,14 +382,14 @@ mod tests {
     #[test]
     fn stream_matches_batch_forward() {
         let net = tiny_net(4);
-        let lstm = PackedLstm::of(&net.lstm);
+        let packed = packed(&net);
         let (segs, nrf, _) = toy_batch();
         let fwd = net.forward(&segs, &nrf);
         let mut stream = net.stream();
         let mut scratch = LstmScratch::default();
         let mut z = Vec::new();
         for i in 0..segs.len() {
-            net.stream_step(&lstm, &mut stream, segs[i], nrf[i], &mut scratch, &mut z);
+            net.stream_step(&packed, &mut stream, segs[i], nrf[i], &mut scratch, &mut z);
             assert_eq!(z, fwd.zs[i], "position {i}");
         }
     }
@@ -391,7 +397,7 @@ mod tests {
     #[test]
     fn stream_step_batch_matches_scalar_bitwise() {
         let net = tiny_net(8);
-        let lstm = PackedLstm::of(&net.lstm);
+        let packed = packed(&net);
         let (segs, nrf, _) = toy_batch();
         let mut lstm_scratch = LstmScratch::default();
         let mut z = Vec::new();
@@ -399,7 +405,7 @@ mod tests {
         let mut scalar: Vec<RsrStream> = (0..3).map(|_| net.stream()).collect();
         for (lane, s) in scalar.iter_mut().enumerate() {
             for i in 0..lane {
-                net.stream_step(&lstm, s, segs[i], nrf[i], &mut lstm_scratch, &mut z);
+                net.stream_step(&packed, s, segs[i], nrf[i], &mut lstm_scratch, &mut z);
             }
         }
         let mut batched = scalar.clone();
@@ -411,11 +417,11 @@ mod tests {
                 .collect();
             let mut streams: Vec<&mut RsrStream> = batched.iter_mut().collect();
             let mut zs = Vec::new();
-            net.stream_step_batch(&lstm, &mut scratch, &inputs, &mut streams, &mut zs);
+            net.stream_step_batch(&packed, &mut scratch, &inputs, &mut streams, &mut zs);
             let z_dim = net.z_dim();
             for (lane, s) in scalar.iter_mut().enumerate() {
                 let (seg, nrf) = inputs[lane];
-                net.stream_step(&lstm, s, seg, nrf, &mut lstm_scratch, &mut z);
+                net.stream_step(&packed, s, seg, nrf, &mut lstm_scratch, &mut z);
                 assert_eq!(
                     &zs[lane * z_dim..(lane + 1) * z_dim],
                     &z[..],

@@ -40,23 +40,50 @@ pub struct TrainedModel {
     /// Derived from the networks above, so excluded from serialisation via
     /// the [`packed_cache`] adapter and rebuilt on first use after load.
     #[serde(with = "packed_cache")]
-    packed: std::sync::OnceLock<crate::packed::PackedModel>,
+    packed: PackedCache,
+}
+
+/// The once-built packed form of a model's networks. A clone starts
+/// empty: the clone's networks may change (e.g. by fine-tuning) before it
+/// is first packed, and a copied cache would then serve stale weights.
+#[derive(Debug, Default)]
+struct PackedCache(std::sync::OnceLock<crate::packed::PackedModel>);
+
+impl Clone for PackedCache {
+    fn clone(&self) -> Self {
+        PackedCache::default()
+    }
 }
 
 impl TrainedModel {
-    /// Assembles a model from its trained parts.
+    /// Assembles a model from its trained parts. The networks' gradients
+    /// and Adam moments are released: no server reads them, and they
+    /// would triple the model's memory and its JSON.
     pub fn from_parts(
         config: Rl4oasdConfig,
         preprocessor: Preprocessor,
         rsrnet: RsrNet,
         asdnet: AsdNet,
     ) -> Self {
-        TrainedModel {
+        let mut model = TrainedModel {
             config,
             preprocessor,
             rsrnet,
             asdnet,
-            packed: std::sync::OnceLock::new(),
+            packed: PackedCache::default(),
+        };
+        model.release_optimizer_state();
+        model
+    }
+
+    /// Drops the optimizer state of both networks (see
+    /// [`nn::Param::release_optimizer`]).
+    fn release_optimizer_state(&mut self) {
+        for p in self.rsrnet.params_mut() {
+            p.release_optimizer();
+        }
+        for p in self.asdnet.params_mut() {
+            p.release_optimizer();
         }
     }
 
@@ -89,22 +116,28 @@ impl TrainedModel {
     /// ```
     pub fn packed(&self) -> &crate::packed::PackedModel {
         self.packed
+            .0
             .get_or_init(|| crate::packed::PackedModel::of(&self.rsrnet, &self.asdnet))
+    }
+
+    /// Whether the packed form has been built (see [`TrainedModel::packed`]).
+    #[cfg(test)]
+    pub(crate) fn is_packed(&self) -> bool {
+        self.packed.0.get().is_some()
     }
 }
 
 /// Serde adapter for the packed-kernel cache: serialised as `null`
 /// (the packed form is derived data), deserialised as an empty cache.
 mod packed_cache {
-    use crate::packed::PackedModel;
-    use std::sync::OnceLock;
+    use super::PackedCache;
 
-    pub fn serialize(_: &OnceLock<PackedModel>) -> serde::Value {
+    pub fn serialize(_: &PackedCache) -> serde::Value {
         serde::Value::Null
     }
 
-    pub fn deserialize(_: &serde::Value) -> Result<OnceLock<PackedModel>, serde::Error> {
-        Ok(OnceLock::new())
+    pub fn deserialize(_: &serde::Value) -> Result<PackedCache, serde::Error> {
+        Ok(PackedCache::default())
     }
 }
 
@@ -486,9 +519,15 @@ impl OnlineLearner {
     /// in miniature on the new data: supervised adaptation of RSRNet and
     /// the policy towards the new noisy labels, followed by the joint
     /// refinement pass.
+    ///
+    /// Each call starts a new Adam optimizer and releases its state at the
+    /// end, so the tuned model is as lean as a freshly trained one and its
+    /// packed form is rebuilt from the tuned weights.
     pub fn fine_tune(&mut self, net: &RoadNetwork, new_data: &Dataset) -> f64 {
         let _ = net;
         let started = std::time::Instant::now();
+        self.model.packed = PackedCache::default();
+        self.model.release_optimizer_state();
         let config = self.model.config.clone();
         self.model.preprocessor.refresh(&config, new_data);
         let mut rng = StdRng::seed_from_u64(config.seed ^ 0xF17E);
@@ -555,6 +594,7 @@ impl OnlineLearner {
                 .rsrnet
                 .train_step(&traj.segments, &feats.nrf, &refined, joint_lr);
         }
+        self.model.release_optimizer_state();
         started.elapsed().as_secs_f64()
     }
 }

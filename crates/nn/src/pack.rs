@@ -19,12 +19,19 @@
 //! forms of [`Linear`], [`LstmCell`] and [`GruCell`]: each step is
 //! bit-identical to the layer's training `forward` value path (this
 //! module's tests and `tests/kernels.rs` pin that bridge). A trained model
-//! caches them once (e.g. `rl4oasd`'s `TrainedModel` holds a `OnceLock`-ed
+//! caches them once (e.g. `rl4oasd`'s `TrainedModel` holds a once-built
 //! packed form) and every engine tick — scalar or batched, sharded or
 //! ingest-driven — runs on the packed weights with zero per-tick
 //! repacking. The steps take reusable [`LstmScratch`] / [`GruScratch`]
-//! buffers instead of allocating the `[x; h]` concatenations and gate
-//! vectors per point, so a warm session allocates nothing.
+//! buffers instead of allocating gate vectors per point, so a warm
+//! session allocates nothing.
+//!
+//! [`PackedLstm`] keeps the input half `W_x` and the recurrent half `W_h`
+//! of the gate matrix as two packed matrices, so its steps never build an
+//! `[x; h]` concatenation: the gate definition in [`LstmCell`] is two
+//! separate dots. [`PackedLstm::input_gates`] is the `W_x` half, which a
+//! caller may tabulate per input, and [`PackedLstm::infer_step_from`] is
+//! the one serving step, which reads only `W_h` and that half.
 //!
 //! A transposed layout for the batch≥4 path was evaluated and rejected:
 //! it forces a sequential-k accumulation per output cell, a different
@@ -38,10 +45,10 @@ use crate::ops::{sigmoid, tanh};
 use crate::rnn::{GruCell, LstmCell, LstmState};
 
 /// Reusable buffers for the allocation-free scalar LSTM inference step:
-/// the `[x; h]` concatenation and the `4H` pre-activation gate vector.
+/// the `4H` input half of the gates and the `4H` recurrent half.
 #[derive(Debug, Clone, Default)]
 pub struct LstmScratch {
-    xh: Vec<f32>,
+    u: Vec<f32>,
     gates: Vec<f32>,
 }
 
@@ -187,67 +194,116 @@ impl PackedLinear {
     }
 }
 
-/// Inference-ready form of an [`LstmCell`]: the combined `4H × (I+H)`
-/// gate matrix packed, bias carried alongside.
+/// Inference-ready form of an [`LstmCell`]: the input half `W_x` and the
+/// recurrent half `W_h` of the gate matrix packed separately, bias
+/// carried alongside.
+///
+/// A step is split at the gate definition of [`LstmCell`]:
+/// [`PackedLstm::input_gates`] computes `u = W_x x + b`, and
+/// [`PackedLstm::infer_step_from`] adds `W_h h` and runs the cell update.
+/// A caller whose inputs come from a finite vocabulary tabulates `u` once
+/// per input and calls only the second half per step, which reads `W_h`
+/// and one `4H` row instead of the whole `4H × (I+H)` matrix.
 #[derive(Debug, Clone)]
 pub struct PackedLstm {
-    w: PackedWeights,
+    wx: PackedWeights,
+    wh: PackedWeights,
     b: Vec<f32>,
-    input: usize,
-    hidden: usize,
 }
 
 impl PackedLstm {
     /// Packs a trained cell.
     pub fn of(cell: &LstmCell) -> Self {
+        let (input, hidden) = (cell.input_dim(), cell.hidden_dim());
+        let (mut wx, mut wh) = (Vec::new(), Vec::new());
+        for row in cell.w.value.chunks(input + hidden) {
+            wx.extend_from_slice(&row[..input]);
+            wh.extend_from_slice(&row[input..]);
+        }
         PackedLstm {
-            w: PackedWeights::pack(&cell.w.value, cell.w.rows, cell.w.cols),
+            wx: PackedWeights::pack(&wx, 4 * hidden, input),
+            wh: PackedWeights::pack(&wh, 4 * hidden, hidden),
             b: cell.b.value.clone(),
-            input: cell.input_dim(),
-            hidden: cell.hidden_dim(),
         }
     }
 
     /// Input dimension.
     #[inline]
     pub fn input_dim(&self) -> usize {
-        self.input
+        self.wx.cols()
     }
 
     /// Hidden dimension.
     #[inline]
     pub fn hidden_dim(&self) -> usize {
-        self.hidden
+        self.wh.cols()
     }
 
-    /// Allocation-free scalar step advancing `state` in place.
-    /// Bit-identical to [`LstmCell::forward`]'s value path. The gate
-    /// buffer is sized once: the mat-vec overwrites every cell.
+    /// The input half of the gate pre-activations, `u = W_x x + b`, into
+    /// the `4H` slice `u`.
+    pub fn input_gates(&self, x: &[f32], u: &mut [f32]) {
+        self.wx.matvec(x, u);
+        for (ui, bi) in u.iter_mut().zip(&self.b) {
+            *ui += bi;
+        }
+    }
+
+    /// The serving step: advances `state` in place from the input half
+    /// `u` of the gates ([`PackedLstm::input_gates`] of this step's
+    /// input). Reads `W_h` and `u`, never `W_x`. The gate buffer is sized
+    /// once: the mat-vec overwrites every cell.
+    pub fn infer_step_from(&self, u: &[f32], state: &mut LstmState, scratch: &mut LstmScratch) {
+        debug_assert_eq!(u.len(), self.b.len());
+        debug_assert_eq!(state.h.len(), self.hidden_dim());
+        scratch.gates.resize(self.b.len(), 0.0);
+        self.wh.matvec(&state.h, &mut scratch.gates);
+        kernels::lstm_cell(&scratch.gates, u, &mut state.c, &mut state.h);
+    }
+
+    /// Allocation-free scalar step from a raw input `x`:
+    /// [`PackedLstm::input_gates`] followed by
+    /// [`PackedLstm::infer_step_from`]. Bit-identical to
+    /// [`LstmCell::forward`]'s value path.
     pub fn infer_step(&self, x: &[f32], state: &mut LstmState, scratch: &mut LstmScratch) {
-        debug_assert_eq!(x.len(), self.input);
-        debug_assert_eq!(state.h.len(), self.hidden);
-        scratch.xh.clear();
-        scratch.xh.extend_from_slice(x);
-        scratch.xh.extend_from_slice(&state.h);
-        scratch.gates.resize(4 * self.hidden, 0.0);
-        self.w.matvec(&scratch.xh, &mut scratch.gates);
-        kernels::lstm_cell(&scratch.gates, &self.b, &mut state.c, &mut state.h);
+        debug_assert_eq!(x.len(), self.input_dim());
+        let mut u = std::mem::take(&mut scratch.u);
+        u.resize(self.b.len(), 0.0);
+        self.input_gates(x, &mut u);
+        self.infer_step_from(&u, state, scratch);
+        scratch.u = u;
     }
 
-    /// Batched step advancing `batch` independent lanes in one matrix pass.
+    /// Batched [`PackedLstm::infer_step_from`]: advances `batch`
+    /// independent lanes in one pass over `W_h`.
     ///
-    /// * `xh` — `batch × (input + hidden)` row-major, each lane's input
-    ///   concatenated with its previous hidden vector;
+    /// * `u` — lane `b`'s `4H` input half of the gates, read in place
+    ///   (e.g. a row of a per-input table), so nothing is gathered;
     /// * `c` — `batch × hidden` cell states, updated in place;
-    /// * `h` — `batch × hidden` output hidden vectors, overwritten;
+    /// * `h` — `batch × hidden` hidden vectors, read and then overwritten;
     /// * `z_scratch` — reusable gate buffer (resized to `batch × 4·hidden`,
     ///   never zeroed: the mat-vec overwrites every cell).
     ///
-    /// Per-lane results are **bit-identical** to [`LstmCell::forward`] and
-    /// to [`PackedLstm::infer_step`] (same kernel accumulation order, same
-    /// element-wise gate expressions); the batched form exists so one pass
-    /// over the `4H × (I+H)` weight matrix serves every lane that advanced
-    /// this tick.
+    /// Per-lane results are **bit-identical** to
+    /// [`PackedLstm::infer_step_from`] (same kernel accumulation order,
+    /// same element-wise gate expressions).
+    pub fn infer_step_from_batch<'u>(
+        &self,
+        batch: usize,
+        u: impl Fn(usize) -> &'u [f32],
+        c: &mut [f32],
+        h: &mut [f32],
+        z_scratch: &mut Vec<f32>,
+    ) {
+        z_scratch.resize(batch * self.b.len(), 0.0);
+        self.cells_from_batch(batch, u, c, h, z_scratch);
+    }
+
+    /// Batched [`PackedLstm::infer_step`], for inputs not drawn from a
+    /// table: `xh` is `batch × (input + hidden)` row-major, each lane's
+    /// input concatenated with its previous hidden vector; `c`, `h` and
+    /// `z_scratch` as in [`PackedLstm::infer_step_from_batch`] (`h` is
+    /// only written; `z_scratch` also holds the lanes' input halves).
+    /// Bit-identical per lane to [`PackedLstm::infer_step`].
     pub fn infer_step_batch(
         &self,
         batch: usize,
@@ -256,19 +312,46 @@ impl PackedLstm {
         h: &mut [f32],
         z_scratch: &mut Vec<f32>,
     ) {
-        let hidden = self.hidden;
-        debug_assert_eq!(xh.len(), batch * (self.input + hidden));
+        let (input, hidden, gates) = (self.input_dim(), self.hidden_dim(), self.b.len());
+        let row = input + hidden;
+        debug_assert_eq!(xh.len(), batch * row);
+        z_scratch.resize(2 * batch * gates, 0.0);
+        let (us, zs) = z_scratch.split_at_mut(batch * gates);
+        let wx = &self.wx;
+        kernels::gemm_micro(&wx.data, wx.stride, wx.rows, input, xh, row, batch, us);
+        for ub in us.chunks_exact_mut(gates) {
+            for (ui, bi) in ub.iter_mut().zip(&self.b) {
+                *ui += bi;
+            }
+        }
+        for (hb, xhb) in h.chunks_exact_mut(hidden).zip(xh.chunks_exact(row)) {
+            hb.copy_from_slice(&xhb[input..]);
+        }
+        let us = &*us;
+        self.cells_from_batch(batch, |b| &us[b * gates..(b + 1) * gates], c, h, zs);
+    }
+
+    /// `zs = W_h h` for every lane, then each lane's cell update with its
+    /// input half `u(b)` as the bias.
+    fn cells_from_batch<'u>(
+        &self,
+        batch: usize,
+        u: impl Fn(usize) -> &'u [f32],
+        c: &mut [f32],
+        h: &mut [f32],
+        zs: &mut [f32],
+    ) {
+        let (hidden, gates) = (self.hidden_dim(), self.b.len());
         debug_assert_eq!(c.len(), batch * hidden);
         debug_assert_eq!(h.len(), batch * hidden);
-        z_scratch.resize(batch * 4 * hidden, 0.0);
-        self.w.matvec_batch(xh, batch, z_scratch);
-        for b in 0..batch {
-            kernels::lstm_cell(
-                &z_scratch[b * 4 * hidden..(b + 1) * 4 * hidden],
-                &self.b,
-                &mut c[b * hidden..(b + 1) * hidden],
-                &mut h[b * hidden..(b + 1) * hidden],
-            );
+        self.wh.matvec_batch(h, batch, zs);
+        for (b, ((zb, cb), hb)) in zs
+            .chunks_exact(gates)
+            .zip(c.chunks_exact_mut(hidden))
+            .zip(h.chunks_exact_mut(hidden))
+            .enumerate()
+        {
+            kernels::lstm_cell(zb, u(b), cb, hb);
         }
     }
 }

@@ -4,6 +4,11 @@ use serde::{Deserialize, Serialize};
 
 /// A learnable tensor (row-major matrix, or vector with `cols == 1`),
 /// carrying its gradient accumulator and Adam moment estimates.
+///
+/// The gradient and the moments are training state, three times the size
+/// of the values. A finished model drops them with
+/// [`Param::release_optimizer`]; [`Param::zero_grad`], which every
+/// training step calls before its backward pass, re-creates them.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Param {
     /// Current values, row-major, `rows * cols` entries.
@@ -70,9 +75,33 @@ impl Param {
         &mut self.grad[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Clears the gradient accumulator.
+    /// Clears the gradient accumulator. After
+    /// [`Param::release_optimizer`] it re-creates the gradient and a fresh
+    /// Adam state instead, so training restarts as with a new optimizer.
     pub fn zero_grad(&mut self) {
-        self.grad.iter_mut().for_each(|g| *g = 0.0);
+        if self.grad.len() == self.value.len() {
+            self.grad.fill(0.0);
+        } else {
+            let n = self.value.len();
+            self.grad = vec![0.0; n];
+            self.m = vec![0.0; n];
+            self.v = vec![0.0; n];
+            self.t = 0;
+        }
+    }
+
+    /// Frees the gradient and the Adam state; only the values stay.
+    pub fn release_optimizer(&mut self) {
+        self.grad = Vec::new();
+        self.m = Vec::new();
+        self.v = Vec::new();
+        self.t = 0;
+    }
+
+    /// Whether the parameter holds any optimizer state (gradient or Adam
+    /// moments).
+    pub fn has_optimizer_state(&self) -> bool {
+        !(self.grad.is_empty() && self.m.is_empty() && self.v.is_empty())
     }
 
     /// Sum of squared gradient entries (for clipping / diagnostics).
@@ -187,6 +216,26 @@ mod tests {
         assert!((after.sqrt() - 1.0).abs() < 1e-5);
         // direction preserved
         assert!(a.grad[0] > 0.0 && b.grad[0] > 0.0);
+    }
+
+    #[test]
+    fn released_optimizer_restarts_on_zero_grad() {
+        let mut trained = Param::from_values(1, 1, vec![0.0]);
+        trained.grad[0] = 2.0;
+        trained.adam_step(0.01);
+        trained.release_optimizer();
+        assert!(!trained.has_optimizer_state());
+        assert_eq!(trained.value.len(), 1);
+
+        // A released parameter steps exactly like a fresh one.
+        let mut fresh = Param::from_values(1, 1, trained.value.clone());
+        for p in [&mut trained, &mut fresh] {
+            p.zero_grad();
+            p.grad[0] = 123.0;
+            p.adam_step(0.01);
+        }
+        assert!(trained.has_optimizer_state());
+        assert_eq!(trained.value, fresh.value);
     }
 
     #[test]

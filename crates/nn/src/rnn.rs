@@ -7,7 +7,7 @@
 //! Inference runs on the packed forms in [`crate::pack`], which are
 //! bit-identical to these cells' `forward` value paths.
 
-use crate::ops::{self, sigmoid, tanh};
+use crate::ops::{self, kernels, sigmoid, tanh};
 use crate::param::Param;
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
@@ -31,8 +31,15 @@ impl LstmState {
     }
 }
 
-/// An LSTM cell (Hochreiter & Schmidhuber \[35\]) with combined gate weights:
-/// `z = W [x; h] + b`, `W: 4H × (I+H)`, gate order `i, f, g, o`.
+/// An LSTM cell (Hochreiter & Schmidhuber \[35\]) with combined gate weights
+/// `W = [W_x | W_h]: 4H × (I+H)` and gate order `i, f, g, o`.
+///
+/// The gate pre-activation of row `r` is defined as
+/// `z_r = (dot(W_x,r, x) + b_r) + dot(W_h,r, h)`: two fixed-order dots
+/// (see [`kernels`](mod@crate::ops::kernels)), the input half and the bias
+/// summed first. The input half `u = W_x x + b` depends on `x` alone, so a
+/// serving model whose inputs come from a finite vocabulary can tabulate
+/// it once per input ([`PackedLstm::input_gates`](crate::PackedLstm::input_gates)).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct LstmCell {
     /// Combined gate weights, `4H × (I+H)`.
@@ -88,11 +95,16 @@ impl LstmCell {
         debug_assert_eq!(x.len(), self.input);
         debug_assert_eq!(prev.h.len(), self.hidden);
         let h = self.hidden;
-        let xh = ops::concat(x, &prev.h);
+        let cols = self.input + h;
+        let mut u = vec![0.0; 4 * h];
+        kernels::matvec(&self.w.value, cols, 4 * h, self.input, x, &mut u);
+        for (ui, bi) in u.iter_mut().zip(&self.b.value) {
+            *ui += bi;
+        }
         let mut z = vec![0.0; 4 * h];
-        ops::matvec(&self.w.value, 4 * h, self.input + h, &xh, &mut z);
-        for (zi, bi) in z.iter_mut().zip(&self.b.value) {
-            *zi += bi;
+        kernels::matvec(&self.w.value[self.input..], cols, 4 * h, h, &prev.h, &mut z);
+        for (zi, ui) in z.iter_mut().zip(&u) {
+            *zi += ui;
         }
         let mut i = vec![0.0; h];
         let mut f = vec![0.0; h];
@@ -115,7 +127,7 @@ impl LstmCell {
         (
             LstmState { h: hv, c },
             LstmCtx {
-                xh,
+                xh: ops::concat(x, &prev.h),
                 i,
                 f,
                 g,

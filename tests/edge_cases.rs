@@ -102,14 +102,128 @@ fn online_learner_is_cumulative() {
             .collect();
         evaluate(&outputs, &truths).f1
     };
+    // Each fine-tune re-creates the optimizer state it needs (a trained
+    // model carries none) and releases it again when done.
+    assert!(!has_optimizer_state(&learner.model));
     learner.fine_tune(&net, &train);
+    assert!(!has_optimizer_state(&learner.model));
     let after_one = f1_of(&learner.model);
     learner.fine_tune(&net, &train);
+    assert!(!has_optimizer_state(&learner.model));
     let after_two = f1_of(&learner.model);
     assert!(
         after_two > after_one - 0.25,
         "second fine-tune collapsed: {after_one} -> {after_two}"
     );
+}
+
+/// Whether any parameter of the model's two networks holds a gradient or
+/// Adam moments.
+fn has_optimizer_state(model: &TrainedModel) -> bool {
+    let mut m = model.clone();
+    m.rsrnet
+        .params_mut()
+        .into_iter()
+        .chain(m.asdnet.params_mut())
+        .any(|p| p.has_optimizer_state())
+}
+
+/// A tiny city, a model trained on it and a corpus recorded under a
+/// different traffic seed (a drifted regime for the learner).
+fn model_and_drift(seed: u64) -> (RoadNetwork, TrainedModel, Dataset) {
+    let net = city(seed);
+    let corpus = |s: u64| {
+        let cfg = TrafficConfig {
+            num_sd_pairs: 3,
+            trajs_per_pair: (30, 40),
+            anomaly_ratio: 0.1,
+            ..TrafficConfig::tiny(s)
+        };
+        Dataset::from_generated(&TrafficSimulator::new(&net, cfg).generate())
+    };
+    let model = rl4oasd::train(&net, &corpus(seed), &Rl4oasdConfig::tiny(seed));
+    let drifted = corpus(seed + 1);
+    (net, model, drifted)
+}
+
+fn labels_of(model: &TrainedModel, net: &RoadNetwork, data: &Dataset) -> Vec<Vec<u8>> {
+    let mut det = Rl4oasdDetector::new(model, net);
+    data.trajectories
+        .iter()
+        .map(|t| det.label_trajectory(t))
+        .collect()
+}
+
+#[test]
+fn fine_tuned_model_serves_its_own_weights() {
+    // The learner starts from a clone of a model that is already packed,
+    // as a server's live model is. The tuned model (and any clone of it)
+    // must serve the tuned weights, not that packing.
+    let (net, v1, drifted) = model_and_drift(35);
+    let v1_row = v1.packed().policy.w.row(0).to_vec();
+    let mut learner = OnlineLearner::new(v1.clone());
+    learner.fine_tune(&net, &drifted);
+    let tuned = nn::PackedLinear::of(&learner.model.asdnet.policy);
+    assert_ne!(tuned.w.row(0), &v1_row[..], "fine-tune moved the policy");
+    assert_eq!(learner.model.packed().policy.w.row(0), tuned.w.row(0));
+    let snapshot = learner.model.clone();
+    assert_eq!(snapshot.packed().policy.w.row(0), tuned.w.row(0));
+
+    let json = serde_json::to_string(&learner.model).unwrap();
+    let reloaded: TrainedModel = serde_json::from_str(&json).unwrap();
+    assert_eq!(
+        labels_of(&snapshot, &net, &drifted),
+        labels_of(&reloaded, &net, &drifted),
+        "served labels differ from the tuned model's"
+    );
+}
+
+#[test]
+fn trained_model_carries_no_optimizer_state_and_old_files_load() {
+    let (net, model, drifted) = model_and_drift(36);
+    assert!(!has_optimizer_state(&model));
+
+    // A file written before the release: the same weights plus a gradient
+    // and Adam moments (a zero learning rate moves the moments, not the
+    // values).
+    let mut legacy = model.clone();
+    for p in legacy
+        .rsrnet
+        .params_mut()
+        .into_iter()
+        .chain(legacy.asdnet.params_mut())
+    {
+        p.zero_grad();
+        for (i, g) in p.grad.iter_mut().enumerate() {
+            *g = ((i % 97) as f32 - 48.0) * 1e-3 + 1e-4;
+        }
+        p.adam_step(0.0);
+    }
+    assert!(has_optimizer_state(&legacy));
+    let lean_json = serde_json::to_string(&model).unwrap();
+    let legacy_json = serde_json::to_string(&legacy).unwrap();
+    assert!(
+        3 * lean_json.len() <= legacy_json.len(),
+        "lean {} B vs legacy {} B",
+        lean_json.len(),
+        legacy_json.len()
+    );
+
+    let loaded: TrainedModel = serde_json::from_str(&legacy_json).unwrap();
+    assert_eq!(
+        labels_of(&loaded, &net, &drifted),
+        labels_of(&model, &net, &drifted)
+    );
+
+    // Fine-tuning restarts Adam, so the old file's moments do not leak
+    // into the tuned weights.
+    let tune = |m: TrainedModel| {
+        let mut learner = OnlineLearner::new(m);
+        learner.fine_tune(&net, &drifted);
+        let m = learner.model;
+        serde_json::to_string(&(m.rsrnet, m.asdnet)).unwrap()
+    };
+    assert_eq!(tune(loaded), tune(model));
 }
 
 proptest! {

@@ -182,6 +182,76 @@ proptest! {
         prop_assert_eq!(&y, &linear.forward(&x).0);
     }
 
+    /// The gate split `(W_x x + b) + W_h h`: the training forward, the
+    /// scalar step from `x`, the serving step from the input half
+    /// `input_gates(x)`, and both batched twins advance every lane to the
+    /// same bits. Odd `I`/`H` exercise the 8-lane tails; the lanes start
+    /// from different states and read their input halves from one table.
+    #[test]
+    fn lstm_gate_split_steps_agree_bitwise(
+        input in 1usize..21,
+        hidden in 1usize..21,
+        batch in 1usize..5,
+        seed in 0u64..1_000_000,
+    ) {
+        let cell = LstmCell::new(input, hidden, &mut nn::init::seeded_rng(seed));
+        let packed = PackedLstm::of(&cell);
+        let gates = 4 * hidden;
+        let xs: Vec<Vec<f32>> = (0..batch as u64).map(|b| values(input, seed ^ b)).collect();
+        let starts: Vec<LstmState> = (0..batch)
+            .map(|b| {
+                let mut s = LstmState::zeros(hidden);
+                for _ in 0..b {
+                    s = cell.forward(&xs[b], &s).0;
+                }
+                s
+            })
+            .collect();
+        let expect: Vec<LstmState> =
+            starts.iter().zip(&xs).map(|(s, x)| cell.forward(x, s).0).collect();
+
+        let mut table = vec![0.0f32; batch * gates];
+        for (row, x) in table.chunks_exact_mut(gates).zip(&xs) {
+            packed.input_gates(x, row);
+        }
+        let mut scratch = LstmScratch::default();
+        for b in 0..batch {
+            let mut from_x = starts[b].clone();
+            packed.infer_step(&xs[b], &mut from_x, &mut scratch);
+            prop_assert!(from_x == expect[b], "infer_step lane {}", b);
+            let mut from_u = starts[b].clone();
+            packed.infer_step_from(&table[b * gates..(b + 1) * gates], &mut from_u, &mut scratch);
+            prop_assert!(from_u == expect[b], "infer_step_from lane {}", b);
+        }
+
+        let mut xh = Vec::new();
+        let (mut c, mut h) = (Vec::new(), Vec::new());
+        for (s, x) in starts.iter().zip(&xs) {
+            xh.extend_from_slice(x);
+            xh.extend_from_slice(&s.h);
+            c.extend_from_slice(&s.c);
+            h.extend_from_slice(&s.h);
+        }
+        let mut c_x = c.clone();
+        let mut h_x = vec![f32::NAN; batch * hidden];
+        let mut z = Vec::new();
+        packed.infer_step_batch(batch, &xh, &mut c_x, &mut h_x, &mut z);
+        packed.infer_step_from_batch(
+            batch,
+            |b| &table[b * gates..(b + 1) * gates],
+            &mut c,
+            &mut h,
+            &mut z,
+        );
+        for (b, e) in expect.iter().enumerate() {
+            let lane = b * hidden..(b + 1) * hidden;
+            prop_assert!(h_x[lane.clone()] == e.h[..] && c_x[lane.clone()] == e.c[..],
+                "infer_step_batch lane {}", b);
+            prop_assert!(h[lane.clone()] == e.h[..] && c[lane] == e.c[..],
+                "infer_step_from_batch lane {}", b);
+        }
+    }
+
     /// SSE2 and AVX2 `matvec` / `gemm_micro` equal `dot_portable` in every
     /// cell: `cols % 8 != 0`, odd `rows`, batch 0..5, padded strides (the
     /// padding is NaN, so reading it would show).
