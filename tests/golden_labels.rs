@@ -1,6 +1,10 @@
 //! The numerics epoch pinned across hosts: a fixed tiny fixture is
 //! trained and replayed, and its labels must reproduce
-//! `tests/golden/labels_tiny.txt` byte for byte.
+//! `tests/golden/labels_tiny.txt` byte for byte. The trained weights
+//! themselves are pinned too: an FNV-1a digest of every network
+//! parameter's `f32` bit pattern must reproduce
+//! `tests/golden/weights_tiny.txt`, so any change to the training path
+//! that moves a single bit of a single weight fails here.
 //!
 //! Training (`LstmCell::forward`, softmax, the SGNS sigmoid) and serving
 //! (the batched engine: AVX2 / SSE2 gate mat-vec, fused `lstm_cell`) run
@@ -17,18 +21,32 @@
 //!
 //! To re-record after a deliberate numerics change, delete the file and
 //! run the test once; it writes the file and fails, so the change is seen.
+//! Each golden file is re-recorded on its own.
 
 mod common;
 
 use common::{build_city, interleaved, CityKind};
 use rl4oasd_repro::prelude::*;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 const SEED: u64 = 3;
 const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/labels_tiny.txt");
+const WEIGHTS: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/weights_tiny.txt");
 
-#[test]
-fn tiny_fixture_labels_match_the_golden_file() {
+/// The network, the trained model and the test corpus, trained once and
+/// shared by both tests.
+struct Fixture {
+    net: Arc<RoadNetwork>,
+    model: Arc<TrainedModel>,
+    test: Dataset,
+}
+
+fn fixture() -> &'static Fixture {
+    static FIXTURE: OnceLock<Fixture> = OnceLock::new();
+    FIXTURE.get_or_init(train_fixture)
+}
+
+fn train_fixture() -> Fixture {
     let net = Arc::new(build_city(CityKind::ChengduGrid, SEED));
     let sim = TrafficSimulator::new(
         &net,
@@ -49,12 +67,33 @@ fn tiny_fixture_labels_match_the_golden_file() {
         ..Rl4oasdConfig::tiny(SEED)
     };
     let model = Arc::new(rl4oasd::train(&net, &train, &config));
+    Fixture { net, model, test }
+}
 
+/// Compares `text` with the golden file at `path`, or records it (and
+/// fails, so the recording is seen) when the file is missing.
+fn check_golden(path: &str, text: &str, what: &str) {
+    match std::fs::read_to_string(path) {
+        Ok(golden) => assert!(
+            text == golden,
+            "{what} drifted from {path} — if the change is deliberate, delete the file and \
+             re-run to re-record it"
+        ),
+        Err(_) => {
+            std::fs::write(path, text).expect("record the golden file");
+            panic!("recorded {path}; commit it and re-run");
+        }
+    }
+}
+
+#[test]
+fn tiny_fixture_labels_match_the_golden_file() {
+    let Fixture { net, model, test } = fixture();
     let trajs: Vec<&MappedTrajectory> =
         test.trajectories.iter().filter(|t| !t.is_empty()).collect();
-    let mut engine = StreamEngine::new(Arc::clone(&model), Arc::clone(&net));
+    let mut engine = StreamEngine::new(Arc::clone(model), Arc::clone(net));
     let rows = interleaved(&mut engine, &trajs, SEED);
-    let mut detector = Rl4oasdDetector::new(&model, &net);
+    let mut detector = Rl4oasdDetector::new(model, net);
     for (t, row) in trajs.iter().zip(&rows) {
         assert_eq!(
             &detector.label_trajectory(t),
@@ -72,15 +111,29 @@ fn tiny_fixture_labels_match_the_golden_file() {
                 .collect::<String>()
         })
         .collect();
-    match std::fs::read_to_string(GOLDEN) {
-        Ok(golden) => assert!(
-            text == golden,
-            "labels drifted from tests/golden/labels_tiny.txt — a numerics change; if it is \
-             deliberate, delete the file and re-run to re-record it"
-        ),
-        Err(_) => {
-            std::fs::write(GOLDEN, &text).expect("record the golden file");
-            panic!("recorded tests/golden/labels_tiny.txt; commit it and re-run");
+    check_golden(GOLDEN, &text, "labels");
+}
+
+/// 64-bit FNV-1a over the little-endian bit pattern of every value of
+/// every RSRNet and ASDNet parameter, in `params_mut` order.
+fn weights_digest(model: &TrainedModel) -> u64 {
+    let mut model = model.clone();
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut params = model.rsrnet.params_mut();
+    params.extend(model.asdnet.params_mut());
+    for p in params {
+        for v in &p.value {
+            for byte in v.to_bits().to_le_bytes() {
+                hash ^= u64::from(byte);
+                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+            }
         }
     }
+    hash
+}
+
+#[test]
+fn tiny_fixture_weights_match_the_golden_digest() {
+    let text = format!("fnv1a64 {:016x}\n", weights_digest(&fixture().model));
+    check_golden(WEIGHTS, &text, "trained weights");
 }
