@@ -207,6 +207,15 @@ pub fn table5(city: City, sizes: &[usize], base: &Rl4oasdConfig) -> String {
         "Training time (s)",
         "F1-score",
     ]);
+    let mut ledger = Table::new([
+        "Data size",
+        "Fit (s)",
+        "Toast (s)",
+        "RSRNet warm (s)",
+        "ASDNet warm (s)",
+        "Joint (s)",
+        "Dev eval (s)",
+    ]);
     for &size in sizes {
         let subset = subset_of(&full, size);
         let t1 = Instant::now();
@@ -231,13 +240,25 @@ pub fn table5(city: City, sizes: &[usize], base: &Rl4oasdConfig) -> String {
             format!("{:.1}", stats.train_seconds),
             f3(f1),
         ]);
+        let p = &stats.phases;
+        let phases = [
+            p.preprocess,
+            p.toast,
+            p.rsrnet_warm,
+            p.asdnet_warm,
+            p.joint,
+            p.dev_eval,
+        ];
+        ledger.row(std::iter::once(format!("{size}")).chain(phases.map(|s| format!("{s:.2}"))));
     }
     format!(
         "## Table V — preprocessing and training time vs data size ({})\n\
-         (map matching measured on a {}-trajectory raw-GPS sample and scaled)\n\n{}",
+         (map matching measured on a {}-trajectory raw-GPS sample and scaled)\n\n{}\n\
+         Training time by phase:\n\n{}",
         city.name(),
         sample.raw.len(),
-        t.render()
+        t.render(),
+        ledger.render()
     )
 }
 

@@ -17,7 +17,9 @@ use traj::{Dataset, MappedTrajectory, SdPair, TrajectoryId, HOURS_PER_DAY};
 pub type TransKey = (Option<SegmentId>, SegmentId);
 
 /// Serde helper: (de)serialises maps with non-string keys as entry lists,
-/// keeping the model JSON-serialisable.
+/// keeping the model JSON-serialisable. Entries are written sorted by key,
+/// so the same model is the same bytes whatever the map's (randomly
+/// seeded) iteration order; lists in any order load.
 mod map_as_vec {
     use serde::{Deserialize, Error, Serialize, Value};
     use std::collections::HashMap;
@@ -25,10 +27,11 @@ mod map_as_vec {
 
     pub fn serialize<K, V>(map: &HashMap<K, V>) -> Value
     where
-        K: Serialize,
+        K: Serialize + Ord,
         V: Serialize,
     {
-        let entries: Vec<(&K, &V)> = map.iter().collect();
+        let mut entries: Vec<(&K, &V)> = map.iter().collect();
+        entries.sort_unstable_by_key(|&(k, _)| k);
         entries.serialize()
     }
 
@@ -42,6 +45,24 @@ mod map_as_vec {
     }
 }
 
+/// Serde helper: (de)serialises a set as its elements, sorted (see
+/// [`map_as_vec`]).
+mod sorted_set {
+    use serde::{Deserialize, Error, Serialize, Value};
+    use std::collections::HashSet;
+    use std::hash::Hash;
+
+    pub fn serialize<T: Serialize + Ord>(set: &HashSet<T>) -> Value {
+        let mut items: Vec<&T> = set.iter().collect();
+        items.sort_unstable();
+        items.serialize()
+    }
+
+    pub fn deserialize<T: Deserialize + Eq + Hash>(v: &Value) -> Result<HashSet<T>, Error> {
+        HashSet::deserialize(v)
+    }
+}
+
 /// Fraction statistics of one (SD pair, time slot) group.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct GroupStats {
@@ -52,6 +73,7 @@ pub struct GroupStats {
     pub transition_count: HashMap<TransKey, usize>,
     /// Transitions belonging to the inferred *normal routes* (route-level
     /// fraction > δ; falls back to the most frequent route if none passes).
+    #[serde(with = "sorted_set")]
     pub normal_transitions: HashSet<TransKey>,
 }
 
@@ -500,5 +522,32 @@ mod tests {
         pre.refresh(&cfg, &small);
         let after: usize = pre.pair_stats.values().map(|s| s.size).sum();
         assert!(after < before);
+    }
+
+    #[test]
+    fn serialisation_is_sorted_and_loads_any_order() {
+        let (_, _, pre) = setup(4);
+        let sorted = pre.serialize();
+        // Re-serialising a fresh fit (new hash seeds) gives the same bytes.
+        let (_, _, again) = setup(4);
+        assert_eq!(
+            serde_json::to_string(&again).unwrap(),
+            serde_json::to_string(&pre).unwrap()
+        );
+        // A document with its entry lists in another order (as written
+        // before they were sorted) loads, and re-serialises sorted.
+        let mut shuffled = sorted.clone();
+        let serde::Value::Map(fields) = &mut shuffled else {
+            panic!("a preprocessor serialises as a map");
+        };
+        for (name, value) in fields.iter_mut() {
+            if let serde::Value::Seq(entries) = value {
+                assert!(entries.len() > 1, "{name} has too few entries to reorder");
+                entries.reverse();
+            }
+        }
+        assert_ne!(shuffled, sorted);
+        let loaded = Preprocessor::deserialize(&shuffled).unwrap();
+        assert_eq!(loaded.serialize(), sorted);
     }
 }

@@ -19,6 +19,22 @@ use rand::SeedableRng;
 use rnet::SegmentId;
 use serde::{Deserialize, Serialize};
 
+/// Global gradient-norm clip of every training step.
+const MAX_GRAD_NORM: f32 = 5.0;
+
+/// The parameters a training step updates densely: all but the segment
+/// embedding, in [`RsrNet::params_mut`] order.
+fn dense_params<'a>(
+    nrf_embed: &'a mut Embedding,
+    lstm: &'a mut LstmCell,
+    head: &'a mut Linear,
+) -> Vec<&'a mut nn::Param> {
+    let mut v = nrf_embed.params_mut();
+    v.extend(lstm.params_mut());
+    v.extend(head.params_mut());
+    v
+}
+
 /// The representation network.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RsrNet {
@@ -153,15 +169,48 @@ impl RsrNet {
     /// pre-step loss.
     pub fn train_step(&mut self, segs: &[SegmentId], nrf: &[u8], labels: &[u8], lr: f32) -> f32 {
         let fwd = self.forward(segs, nrf);
-        let loss = self.loss_of(&fwd, labels);
-        self.zero_grad();
-        self.backward(&fwd, labels);
-        self.clip_and_step(lr);
+        self.train_step_from(&fwd, labels, lr)
+    }
+
+    /// [`RsrNet::train_step`] on a forward pass the caller already holds,
+    /// which must have been computed with the current weights (no step
+    /// since). Bit-identical to `train_step` on the same inputs. Returns
+    /// the pre-step loss.
+    ///
+    /// The segment embedding's gradient is kept all-zero between steps:
+    /// a step writes only the rows of its trajectory's segments, and its
+    /// norm, clip and clean-up visit only those rows. Adam stays dense.
+    pub fn train_step_from(&mut self, fwd: &RsrForward, labels: &[u8], lr: f32) -> f32 {
+        let loss = self.loss_of(fwd, labels);
+        let mut rows: Vec<usize> = fwd.segs.iter().map(|s| s.idx()).collect();
+        rows.sort_unstable();
+        rows.dedup();
+        let table = &mut self.embed.table;
+        if table.grad.len() != table.len() {
+            // A released table: re-create its gradient and Adam state.
+            table.zero_grad();
+        }
+        debug_assert!(
+            table.grad.iter().all(|&g| g.to_bits() == 0),
+            "embedding gradient not clear between steps"
+        );
+        for p in dense_params(&mut self.nrf_embed, &mut self.lstm, &mut self.head) {
+            p.zero_grad();
+        }
+        self.backward(fwd, labels);
+        let table = &mut self.embed.table;
+        let mut dense = dense_params(&mut self.nrf_embed, &mut self.lstm, &mut self.head);
+        nn::param::clip_global_norm_rows(table, &rows, &mut dense, MAX_GRAD_NORM);
+        table.adam_step(lr);
+        for p in dense {
+            p.adam_step(lr);
+        }
+        table.zero_grad_rows(&rows);
         loss
     }
 
     /// Accumulates gradients of the mean-CE loss for a cached forward pass.
-    pub fn backward(&mut self, fwd: &RsrForward, labels: &[u8]) {
+    fn backward(&mut self, fwd: &RsrForward, labels: &[u8]) {
         let n = fwd.probs.len();
         let hidden = self.lstm.hidden_dim();
         let scale = 1.0 / n as f32;
@@ -190,15 +239,6 @@ impl RsrNet {
         }
     }
 
-    /// Clips the global gradient norm (5.0) and applies one Adam step.
-    pub fn clip_and_step(&mut self, lr: f32) {
-        let mut params = self.params_mut();
-        nn::param::clip_global_norm(&mut params, 5.0);
-        for p in params {
-            p.adam_step(lr);
-        }
-    }
-
     /// Clears all gradients.
     pub fn zero_grad(&mut self) {
         for p in self.params_mut() {
@@ -208,11 +248,12 @@ impl RsrNet {
 
     /// All learnable parameters.
     pub fn params_mut(&mut self) -> Vec<&mut nn::Param> {
-        let mut v = Vec::new();
-        v.extend(self.embed.params_mut());
-        v.extend(self.nrf_embed.params_mut());
-        v.extend(self.lstm.params_mut());
-        v.extend(self.head.params_mut());
+        let mut v = self.embed.params_mut();
+        v.extend(dense_params(
+            &mut self.nrf_embed,
+            &mut self.lstm,
+            &mut self.head,
+        ));
         v
     }
 
@@ -443,6 +484,99 @@ mod tests {
             let mut logits = [0.0f32; 2];
             head.infer(&fwd.zs[i], &mut logits);
             assert_eq!(ops::softmax2(logits), fwd.probs[i], "position {i}");
+        }
+    }
+
+    /// The dense reference step: zero every gradient, clip the global norm
+    /// over every parameter, Adam. Returns the loss and the pre-clip norm.
+    fn dense_reference_step(
+        net: &mut RsrNet,
+        segs: &[SegmentId],
+        nrf: &[u8],
+        labels: &[u8],
+        lr: f32,
+    ) -> (f32, f32) {
+        let fwd = net.forward(segs, nrf);
+        let loss = net.loss_of(&fwd, labels);
+        net.zero_grad();
+        net.backward(&fwd, labels);
+        let mut params = net.params_mut();
+        let norm = nn::param::clip_global_norm(&mut params, MAX_GRAD_NORM);
+        for p in params {
+            p.adam_step(lr);
+        }
+        (loss, norm)
+    }
+
+    fn value_bits(net: &mut RsrNet) -> Vec<u32> {
+        net.params_mut()
+            .iter()
+            .flat_map(|p| p.value.iter().map(|v| v.to_bits()))
+            .collect()
+    }
+
+    /// `(segment, nrf, label)` triples as the three input slices.
+    fn unzip(traj: &[(u32, u8, u8)]) -> (Vec<SegmentId>, Vec<u8>, Vec<u8>) {
+        let segs = traj.iter().map(|&(s, _, _)| SegmentId(s)).collect();
+        let nrf = traj.iter().map(|&(_, f, _)| f).collect();
+        let labels = traj.iter().map(|&(_, _, l)| l).collect();
+        (segs, nrf, labels)
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Random trajectories over 12 of the 20 segments (so segments
+        /// repeat within and across trajectories); `big` scales the NRF
+        /// embedding so far that every step's gradient is clipped, and
+        /// `released` starts from a net whose optimizer state was dropped.
+        #[test]
+        fn sparse_steps_match_the_dense_reference(
+            trajs in collection::vec(collection::vec((0u32..12, 0u8..2, 0u8..2), 1..9), 1..5),
+            big in 0usize..2,
+            released in 0usize..2,
+            seed in 0u64..1000,
+        ) {
+            let mut sparse = tiny_net(seed);
+            if big == 1 {
+                sparse.nrf_embed.table.value.iter_mut().for_each(|v| *v *= 300.0);
+            }
+            if released == 1 {
+                sparse.params_mut().into_iter().for_each(nn::Param::release_optimizer);
+            }
+            let mut dense = sparse.clone();
+            let mut clipped = false;
+            for traj in &trajs {
+                let (segs, nrf, labels) = unzip(traj);
+                let loss = sparse.train_step(&segs, &nrf, &labels, 0.01);
+                prop_assert!(
+                    sparse.embed.table.grad.iter().all(|g| g.to_bits() == 0),
+                    "embedding gradient left non-zero"
+                );
+                let (want, norm) = dense_reference_step(&mut dense, &segs, &nrf, &labels, 0.01);
+                clipped |= norm > MAX_GRAD_NORM;
+                prop_assert_eq!(loss.to_bits(), want.to_bits());
+                prop_assert_eq!(value_bits(&mut sparse), value_bits(&mut dense));
+            }
+            prop_assert!(big == 0 || clipped, "the scaled case never clipped");
+        }
+
+        #[test]
+        fn train_step_from_matches_train_step(
+            trajs in collection::vec(collection::vec((0u32..12, 0u8..2, 0u8..2), 1..9), 1..5),
+            seed in 0u64..1000,
+        ) {
+            let mut stepped = tiny_net(seed);
+            let mut from = stepped.clone();
+            for traj in &trajs {
+                let (segs, nrf, labels) = unzip(traj);
+                let loss = stepped.train_step(&segs, &nrf, &labels, 0.01);
+                let fwd = from.forward(&segs, &nrf);
+                prop_assert_eq!(from.train_step_from(&fwd, &labels, 0.01).to_bits(), loss.to_bits());
+                prop_assert_eq!(value_bits(&mut from), value_bits(&mut stepped));
+            }
         }
     }
 

@@ -15,14 +15,15 @@
 
 use crate::asdnet::{AsdNet, Step};
 use crate::config::Rl4oasdConfig;
-use crate::preprocess::Preprocessor;
-use crate::rsrnet::RsrNet;
+use crate::preprocess::{Preprocessor, TrajectoryFeatures};
+use crate::rsrnet::{RsrForward, RsrNet};
 use crate::toast::{self, ToastConfig};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rnet::RoadNetwork;
 use serde::{Deserialize, Serialize};
+use std::time::Instant;
 use traj::{Dataset, MappedTrajectory};
 
 /// A trained RL4OASD model: preprocessor statistics plus the two networks.
@@ -148,8 +149,29 @@ pub struct TrainStats {
     pub epoch_losses: Vec<f32>,
     /// Mean episode reward per joint epoch.
     pub epoch_rewards: Vec<f32>,
-    /// Wall-clock seconds spent in training (excl. preprocessing).
+    /// Wall-clock seconds of the whole run, preprocessor fit included.
     pub train_seconds: f64,
+    /// Where [`TrainStats::train_seconds`] went.
+    pub phases: PhaseSeconds,
+}
+
+/// Wall-clock seconds per training phase (the training cost ledger).
+/// The phases run one after another and together make up nearly all of
+/// a run.
+#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+pub struct PhaseSeconds {
+    /// Fitting the preprocessor's group statistics.
+    pub preprocess: f64,
+    /// Toast embedding pre-training.
+    pub toast: f64,
+    /// RSRNet warm start on the noisy labels.
+    pub rsrnet_warm: f64,
+    /// ASDNet warm start (behaviour cloning of the noisy labels).
+    pub asdnet_warm: f64,
+    /// The joint RSRNet + ASDNet loop, dev evaluations excluded.
+    pub joint: f64,
+    /// Dev-set evaluations for model selection.
+    pub dev_eval: f64,
 }
 
 /// Trains RL4OASD on a road network and an (unlabelled) trajectory corpus.
@@ -181,13 +203,18 @@ pub fn train_with_dev(
 ) -> (TrainedModel, TrainStats) {
     config.validate();
     assert!(!data.is_empty(), "cannot train on an empty dataset");
-    let started = std::time::Instant::now();
+    let started = Instant::now();
+    let mut stats = TrainStats::default();
+    let mut phases = PhaseSeconds::default();
     let mut rng = StdRng::seed_from_u64(config.seed);
 
     // Preprocessing statistics (noisy labels + NRF).
+    let clock = Instant::now();
     let preprocessor = Preprocessor::fit(config, data);
+    phases.preprocess = clock.elapsed().as_secs_f64();
 
     // Toast-style embedding pre-training.
+    let clock = Instant::now();
     let toast_init = if config.use_toast_init {
         Some(toast::train_embeddings(
             net,
@@ -202,6 +229,7 @@ pub fn train_with_dev(
     } else {
         None
     };
+    phases.toast = clock.elapsed().as_secs_f64();
 
     let mut rsrnet = RsrNet::new(config, net.num_segments(), toast_init);
     let mut asdnet = AsdNet::new(config, rsrnet.z_dim());
@@ -214,55 +242,71 @@ pub fn train_with_dev(
     // ---- warm start -----------------------------------------------------
     // Phase 1: RSRNet supervised on the noisy labels (several passes so the
     // representations actually encode the heuristic before the policy sees
-    // them).
+    // them). The preprocessor is fitted, so each trajectory's features are
+    // computed once.
+    let clock = Instant::now();
     let pretrain_ids = model_ctx.sample_ids(data, config.pretrain_trajs);
-    let warm_labels: Vec<(usize, Vec<u8>)> = pretrain_ids
+    let warm: Vec<(&MappedTrajectory, Vec<u8>, Vec<u8>)> = pretrain_ids
         .iter()
-        .filter(|&&id| data.trajectories[id].len() >= 2)
-        .map(|&id| (id, model_ctx.warmstart_labels(&data.trajectories[id])))
+        .map(|&id| &data.trajectories[id])
+        .filter(|traj| traj.len() >= 2)
+        .map(|traj| {
+            let labels = model_ctx.warmstart_labels(traj);
+            (traj, preprocessor.features(traj).nrf, labels)
+        })
         .collect();
     for _ in 0..config.pretrain_epochs {
-        for (id, labels) in &warm_labels {
-            let traj = &data.trajectories[*id];
-            let feats = preprocessor.features(traj);
-            rsrnet.train_step(&traj.segments, &feats.nrf, labels, config.lr_rsrnet);
+        for (traj, nrf, labels) in &warm {
+            rsrnet.train_step(&traj.segments, nrf, labels, config.lr_rsrnet);
         }
     }
+    phases.rsrnet_warm = clock.elapsed().as_secs_f64();
     // Phase 2: ASDNet warm start with actions forced to the noisy labels
     // (behaviour cloning; see AsdNet::clone_step). A higher warm-start rate
     // is used — the joint loop then continues at the paper's lr. Skipped
     // entirely for the "w/o ASDNet" ablation, which replaces the policy
-    // with an ordinary classifier trained on the noisy labels.
-    for _ in 0..if config.use_asdnet {
-        config.pretrain_epochs
-    } else {
-        0
-    } {
-        for (id, labels) in &warm_labels {
-            let traj = &data.trajectories[*id];
-            let feats = preprocessor.features(traj);
-            let fwd = rsrnet.forward(&traj.segments, &feats.nrf);
-            let steps = forced_steps(&asdnet, &fwd.zs, labels);
-            asdnet.clone_step(&steps, config.lr_rsrnet);
+    // with an ordinary classifier trained on the noisy labels. RSRNet is
+    // frozen here, so each trajectory's representations are computed once.
+    let clock = Instant::now();
+    if config.use_asdnet {
+        let zs: Vec<Vec<Vec<f32>>> = warm
+            .iter()
+            .map(|(traj, nrf, _)| rsrnet.forward(&traj.segments, nrf).zs)
+            .collect();
+        for _ in 0..config.pretrain_epochs {
+            for ((_, _, labels), zs) in warm.iter().zip(&zs) {
+                let steps = forced_steps(&asdnet, zs, labels);
+                asdnet.clone_step(&steps, config.lr_rsrnet);
+            }
         }
     }
+    phases.asdnet_warm = clock.elapsed().as_secs_f64();
 
     // ---- joint training --------------------------------------------------
-    let mut stats = TrainStats::default();
-    let joint_ids = model_ctx.sample_ids(data, config.joint_trajs);
+    let clock = Instant::now();
+    let joint: Vec<(&MappedTrajectory, TrajectoryFeatures)> = model_ctx
+        .sample_ids(data, config.joint_trajs)
+        .into_iter()
+        .map(|id| &data.trajectories[id])
+        .filter(|traj| traj.len() >= 2)
+        .map(|traj| (traj, preprocessor.features(traj)))
+        .collect();
     let joint_lr = config.lr_rsrnet * config.joint_lr_scale;
     let mut best: Option<(f64, RsrNet, AsdNet)> = None;
+    let mut consider_best = |rsrnet: &RsrNet, asdnet: &AsdNet, dev: &Dataset| {
+        let clock = Instant::now();
+        let f1 = dev_f1(config, &preprocessor, rsrnet, asdnet, net, dev);
+        if best.as_ref().map(|(b, _, _)| f1 > *b).unwrap_or(true) {
+            best = Some((f1, rsrnet.clone(), asdnet.clone()));
+        }
+        phases.dev_eval += clock.elapsed().as_secs_f64();
+    };
     let mut episode = 0usize;
     for _epoch in 0..config.joint_epochs {
         let mut loss_sum = 0.0f32;
         let mut reward_sum = 0.0f32;
         let mut count = 0usize;
-        for &id in &joint_ids {
-            let traj = &data.trajectories[id];
-            if traj.len() < 2 {
-                continue;
-            }
-            let feats = preprocessor.features(traj);
+        for (traj, feats) in &joint {
             if !config.use_asdnet {
                 // "w/o ASDNet": keep training the classifier on the noisy
                 // labels; no refinement loop exists without the policy.
@@ -272,49 +316,11 @@ pub fn train_with_dev(
                 count += 1;
                 continue;
             }
-            let fwd = rsrnet.forward(&traj.segments, &feats.nrf);
-            // Policy rollout: sample refined labels (endpoints pinned 0 per
-            // Algorithm 1 lines 2–3).
-            let n = traj.len();
-            let mut refined = vec![0u8; n];
-            let mut steps = Vec::with_capacity(n.saturating_sub(2));
-            let mut prev = 0u8;
-            #[allow(clippy::needless_range_loop)]
-            for i in 1..n - 1 {
-                let state = asdnet.state(&fwd.zs[i], prev);
-                let action = asdnet.sample(&state, model_ctx.rng);
-                steps.push(Step {
-                    state,
-                    prev_label: prev,
-                    action,
-                });
-                refined[i] = action;
-                prev = action;
-            }
-            let reward = episode_reward(
-                config,
-                &rsrnet,
-                &fwd.zs,
-                &traj.segments,
-                &feats.nrf,
-                &refined,
-            );
-            asdnet.reinforce(&steps, reward, config.lr_asdnet);
-            // Continued policy anchor (behaviour cloning towards the noisy
-            // labels) — keeps the policy from random-walking under
-            // REINFORCE variance.
-            if config.use_noisy_labels && config.policy_anchor_weight > 0.0 {
-                let anchor_steps = forced_steps(&asdnet, &fwd.zs, &feats.noisy_labels);
-                asdnet.clone_step(
-                    &anchor_steps,
-                    config.lr_asdnet * config.policy_anchor_weight,
-                );
-            }
-            // RSRNet trains on the refined labels at a reduced joint-phase
-            // rate, with a small noisy-label anchor, so the representation
-            // geometry the policy depends on moves slowly (see
-            // Rl4oasdConfig::{joint_lr_scale, noisy_anchor_weight}).
-            let loss = rsrnet.train_step(&traj.segments, &feats.nrf, &refined, joint_lr);
+            let (loss, reward) =
+                joint_episode(config, &mut rsrnet, &mut asdnet, traj, feats, model_ctx.rng);
+            // A small noisy-label anchor (Rl4oasdConfig::noisy_anchor_weight)
+            // also slows RSRNet's drift. It needs a forward of its own: the
+            // refined-label step just moved the weights.
             if config.use_noisy_labels && config.noisy_anchor_weight > 0.0 {
                 rsrnet.train_step(
                     &traj.segments,
@@ -329,10 +335,7 @@ pub fn train_with_dev(
             episode += 1;
             if let Some(dev) = dev {
                 if episode.is_multiple_of(config.dev_eval_every.max(1)) {
-                    let f1 = dev_f1(config, &preprocessor, &rsrnet, &asdnet, net, dev);
-                    if best.as_ref().map(|(b, _, _)| f1 > *b).unwrap_or(true) {
-                        best = Some((f1, rsrnet.clone(), asdnet.clone()));
-                    }
+                    consider_best(&rsrnet, &asdnet, dev);
                 }
             }
         }
@@ -341,15 +344,14 @@ pub fn train_with_dev(
     }
     // Final candidate also competes for best.
     if let Some(dev) = dev {
-        let f1 = dev_f1(config, &preprocessor, &rsrnet, &asdnet, net, dev);
-        if best.as_ref().map(|(b, _, _)| f1 > *b).unwrap_or(true) {
-            best = Some((f1, rsrnet.clone(), asdnet.clone()));
-        }
+        consider_best(&rsrnet, &asdnet, dev);
     }
     if let Some((_, r, a)) = best {
         rsrnet = r;
         asdnet = a;
     }
+    phases.joint = clock.elapsed().as_secs_f64() - phases.dev_eval;
+    stats.phases = phases;
     stats.train_seconds = started.elapsed().as_secs_f64();
 
     (
@@ -380,18 +382,65 @@ fn dev_f1(
     eval::evaluate(&outputs, &truths).f1
 }
 
+/// One joint episode on one trajectory (paper §IV-D): the policy samples
+/// refined labels from RSRNet's representations (endpoints pinned 0 per
+/// Algorithm 1 lines 2–3), the episode reward updates the policy, a
+/// behaviour-cloning anchor towards the noisy labels follows, and RSRNet
+/// takes one step on the refined labels. One RSRNet forward serves the
+/// rollout, the global reward and that step: RSRNet's weights do not move
+/// in between. Returns the RSRNet loss before its step and the reward.
+fn joint_episode(
+    config: &Rl4oasdConfig,
+    rsrnet: &mut RsrNet,
+    asdnet: &mut AsdNet,
+    traj: &MappedTrajectory,
+    feats: &TrajectoryFeatures,
+    rng: &mut StdRng,
+) -> (f32, f32) {
+    let fwd = rsrnet.forward(&traj.segments, &feats.nrf);
+    let n = traj.len();
+    let mut refined = vec![0u8; n];
+    let mut steps = Vec::with_capacity(n.saturating_sub(2));
+    let mut prev = 0u8;
+    #[allow(clippy::needless_range_loop)]
+    for i in 1..n - 1 {
+        let state = asdnet.state(&fwd.zs[i], prev);
+        let action = asdnet.sample(&state, rng);
+        steps.push(Step {
+            state,
+            prev_label: prev,
+            action,
+        });
+        refined[i] = action;
+        prev = action;
+    }
+    let reward = episode_reward(config, rsrnet, &fwd, &refined);
+    asdnet.reinforce(&steps, reward, config.lr_asdnet);
+    // Continued policy anchor (behaviour cloning towards the noisy
+    // labels) — keeps the policy from random-walking under REINFORCE
+    // variance.
+    if config.use_noisy_labels && config.policy_anchor_weight > 0.0 {
+        let anchor_steps = forced_steps(asdnet, &fwd.zs, &feats.noisy_labels);
+        asdnet.clone_step(
+            &anchor_steps,
+            config.lr_asdnet * config.policy_anchor_weight,
+        );
+    }
+    // RSRNet trains on the refined labels at a reduced joint-phase rate
+    // (see Rl4oasdConfig::joint_lr_scale), so the representation geometry
+    // the policy depends on moves slowly.
+    let joint_lr = config.lr_rsrnet * config.joint_lr_scale;
+    let loss = rsrnet.train_step_from(&fwd, &refined, joint_lr);
+    (loss, reward)
+}
+
 /// The episode reward `R_n` (Eq. 5): mean local continuity reward over
 /// positions 2..n plus the global reward from RSRNet's loss on the refined
-/// labels. Ablations can disable either part.
-fn episode_reward(
-    config: &Rl4oasdConfig,
-    rsrnet: &RsrNet,
-    zs: &[Vec<f32>],
-    segs: &[rnet::SegmentId],
-    nrf: &[u8],
-    labels: &[u8],
-) -> f32 {
+/// labels, both read off the episode's forward pass. Ablations can disable
+/// either part.
+fn episode_reward(config: &Rl4oasdConfig, rsrnet: &RsrNet, fwd: &RsrForward, labels: &[u8]) -> f32 {
     let n = labels.len();
+    let zs = &fwd.zs;
     let mut reward = 0.0f32;
     if config.use_local_reward && n >= 2 {
         let mut local = 0.0f32;
@@ -401,8 +450,7 @@ fn episode_reward(
         reward += local / (n - 1) as f32;
     }
     if config.use_global_reward {
-        let loss = rsrnet.loss(segs, nrf, labels);
-        reward += AsdNet::global_reward(loss);
+        reward += AsdNet::global_reward(rsrnet.loss_of(fwd, labels));
     }
     reward
 }
@@ -525,74 +573,36 @@ impl OnlineLearner {
     /// packed form is rebuilt from the tuned weights.
     pub fn fine_tune(&mut self, net: &RoadNetwork, new_data: &Dataset) -> f64 {
         let _ = net;
-        let started = std::time::Instant::now();
+        let started = Instant::now();
         self.model.packed = PackedCache::default();
         self.model.release_optimizer_state();
         let config = self.model.config.clone();
         self.model.preprocessor.refresh(&config, new_data);
         let mut rng = StdRng::seed_from_u64(config.seed ^ 0xF17E);
+        let trajs: Vec<(&MappedTrajectory, TrajectoryFeatures)> = new_data
+            .trajectories
+            .iter()
+            .filter(|traj| traj.len() >= 2)
+            .map(|traj| (traj, self.model.preprocessor.features(traj)))
+            .collect();
+        let TrainedModel { rsrnet, asdnet, .. } = &mut self.model;
         // Phase 1: adapt to the new regime's noisy labels.
         for _ in 0..config.pretrain_epochs.min(2) {
-            for traj in &new_data.trajectories {
-                if traj.len() < 2 {
-                    continue;
-                }
-                let feats = self.model.preprocessor.features(traj);
-                self.model.rsrnet.train_step(
+            for (traj, feats) in &trajs {
+                rsrnet.train_step(
                     &traj.segments,
                     &feats.nrf,
                     &feats.noisy_labels,
                     config.lr_rsrnet,
                 );
-                let fwd = self.model.rsrnet.forward(&traj.segments, &feats.nrf);
-                let steps = forced_steps(&self.model.asdnet, &fwd.zs, &feats.noisy_labels);
-                self.model.asdnet.clone_step(&steps, config.lr_rsrnet);
+                let fwd = rsrnet.forward(&traj.segments, &feats.nrf);
+                let steps = forced_steps(asdnet, &fwd.zs, &feats.noisy_labels);
+                asdnet.clone_step(&steps, config.lr_rsrnet);
             }
         }
         // Phase 2: one joint refinement pass (as in training).
-        let joint_lr = config.lr_rsrnet * config.joint_lr_scale;
-        for traj in &new_data.trajectories {
-            if traj.len() < 2 {
-                continue;
-            }
-            let feats = self.model.preprocessor.features(traj);
-            let fwd = self.model.rsrnet.forward(&traj.segments, &feats.nrf);
-            let n = traj.len();
-            let mut refined = vec![0u8; n];
-            let mut steps = Vec::with_capacity(n.saturating_sub(2));
-            let mut prev = 0u8;
-            #[allow(clippy::needless_range_loop)]
-            for i in 1..n - 1 {
-                let state = self.model.asdnet.state(&fwd.zs[i], prev);
-                let action = self.model.asdnet.sample(&state, &mut rng);
-                steps.push(Step {
-                    state,
-                    prev_label: prev,
-                    action,
-                });
-                refined[i] = action;
-                prev = action;
-            }
-            let reward = episode_reward(
-                &config,
-                &self.model.rsrnet,
-                &fwd.zs,
-                &traj.segments,
-                &feats.nrf,
-                &refined,
-            );
-            self.model
-                .asdnet
-                .reinforce(&steps, reward, config.lr_asdnet);
-            if config.use_noisy_labels && config.policy_anchor_weight > 0.0 {
-                let anchor = forced_steps(&self.model.asdnet, &fwd.zs, &feats.noisy_labels);
-                self.model
-                    .asdnet
-                    .clone_step(&anchor, config.lr_asdnet * config.policy_anchor_weight);
-            }
-            self.model
-                .rsrnet
-                .train_step(&traj.segments, &feats.nrf, &refined, joint_lr);
+        for (traj, feats) in &trajs {
+            joint_episode(&config, rsrnet, asdnet, traj, feats, &mut rng);
         }
         self.model.release_optimizer_state();
         started.elapsed().as_secs_f64()
@@ -638,6 +648,36 @@ mod tests {
         for &r in &stats.epoch_rewards {
             assert!((-2.0..=2.0).contains(&r), "reward {r} out of range");
         }
+    }
+
+    #[test]
+    fn same_seed_models_serialise_to_the_same_bytes() {
+        let (net, ds) = setup(5);
+        let cfg = Rl4oasdConfig::tiny(5);
+        let first = serde_json::to_string(&train(&net, &ds, &cfg)).unwrap();
+        let second = serde_json::to_string(&train(&net, &ds, &cfg)).unwrap();
+        assert!(first == second, "two same-seed trainings differ in JSON");
+        let loaded: TrainedModel = serde_json::from_str(&first).unwrap();
+        assert!(
+            serde_json::to_string(&loaded).unwrap() == first,
+            "save → load → save changed the bytes"
+        );
+    }
+
+    #[test]
+    fn ledger_phases_make_up_the_run() {
+        let (net, ds) = setup(6);
+        let (_, stats) = train_with_stats(&net, &ds, &Rl4oasdConfig::tiny(6));
+        let p = stats.phases;
+        let parts = [p.preprocess, p.toast, p.rsrnet_warm, p.asdnet_warm, p.joint];
+        assert!(parts.iter().all(|&s| s >= 0.0), "{p:?}");
+        assert!(p.joint > 0.0 && p.dev_eval == 0.0, "{p:?}");
+        let sum: f64 = parts.iter().sum();
+        assert!(
+            sum <= stats.train_seconds,
+            "{p:?} vs {}",
+            stats.train_seconds
+        );
     }
 
     #[test]

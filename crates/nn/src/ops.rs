@@ -87,7 +87,7 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     kernels::dot(a, b)
 }
 
-/// `y += alpha * x` (8-lane unrolled; bit-identical to the naive loop).
+/// `y += alpha * x` (element-wise; see [`kernels::axpy`]).
 #[inline]
 pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
     kernels::axpy(alpha, x, y)
@@ -110,7 +110,7 @@ pub fn matvec(w: &[f32], rows: usize, cols: usize, x: &[f32], y: &mut [f32]) {
 
 /// Transposed matrix–vector product `y += W^T g` (accumulates into `y`).
 ///
-/// Built on the unrolled [`kernels::axpy`]; the accumulation stays
+/// Built on [`kernels::axpy`]; the accumulation stays
 /// row-by-row over `g` (element-wise in `y`), so results are bit-identical
 /// to the pre-kernel implementation and `⟨Wx, g⟩ ≈ ⟨x, Wᵀg⟩` adjointness
 /// with [`matvec`] holds to normal `f32` tolerance.

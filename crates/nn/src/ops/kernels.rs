@@ -188,21 +188,15 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     }
 }
 
-/// `y += alpha * x`, 8-lane unrolled. Element-wise (no reduction), so the
-/// result is bit-identical to the naive loop — vectorization here is pure
-/// speedup with no numerical consequence (and element-wise loops
-/// autovectorize cleanly, so no explicit-SIMD path is needed).
+/// `y += alpha * x`, element-wise (no reduction), so any vectorization of
+/// it is bit-identical to the scalar loop. It is written as the plain
+/// `zip` loop on purpose: LLVM vectorizes that form, while a hand-chunked
+/// 8-lane form measured about 5× slower on the training path's
+/// outer products (a 256 × 128 `outer_acc`: 24 µs chunked, 4.6 µs plain).
 #[inline]
 pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
     debug_assert_eq!(x.len(), y.len());
-    let (yb, yt) = y.as_chunks_mut::<LANES>();
-    let (xb, xt) = x.as_chunks::<LANES>();
-    for (yc, xc) in yb.iter_mut().zip(xb) {
-        for l in 0..LANES {
-            yc[l] += alpha * xc[l];
-        }
-    }
-    for (yi, &xi) in yt.iter_mut().zip(xt) {
+    for (yi, &xi) in y.iter_mut().zip(x) {
         *yi += alpha * xi;
     }
 }

@@ -114,6 +114,14 @@ impl Param {
         self.grad.iter_mut().for_each(|g| *g *= factor);
     }
 
+    /// Clears the gradient of `rows` (a sparse [`Param::zero_grad`] for a
+    /// gradient known to be zero elsewhere).
+    pub fn zero_grad_rows(&mut self, rows: &[usize]) {
+        for &r in rows {
+            self.grad_row_mut(r).fill(0.0);
+        }
+    }
+
     /// One Adam step with the given learning rate and default
     /// `(beta1, beta2, eps) = (0.9, 0.999, 1e-8)`. Does **not** clear the
     /// gradient; call [`Param::zero_grad`] afterwards.
@@ -153,6 +161,43 @@ pub fn clip_global_norm(params: &mut [&mut Param], max_norm: f32) -> f32 {
     if norm > max_norm && norm > 0.0 {
         let factor = max_norm / norm;
         for p in params.iter_mut() {
+            p.scale_grad(factor);
+        }
+    }
+    norm
+}
+
+/// [`clip_global_norm`] over `sparse` followed by `dense`, for a `sparse`
+/// parameter whose gradient is zero outside `rows` (ascending, distinct):
+/// the norm sums and the rescale visit only those rows.
+///
+/// The result is bit-identical to the dense call on the same parameters
+/// in the same order. The squared norm is summed in the same order with
+/// only `+0.0` terms left out, and adding `+0.0` to a non-negative sum
+/// leaves it unchanged. Scaling a zero entry leaves it zero.
+pub fn clip_global_norm_rows(
+    sparse: &mut Param,
+    rows: &[usize],
+    dense: &mut [&mut Param],
+    max_norm: f32,
+) -> f32 {
+    debug_assert!(rows.windows(2).all(|w| w[0] < w[1]), "rows not ascending");
+    let cols = sparse.cols;
+    let sparse_sq: f64 = rows
+        .iter()
+        .flat_map(|&r| &sparse.grad[r * cols..(r + 1) * cols])
+        .map(|&g| (g as f64) * (g as f64))
+        .sum();
+    let norm_sq: f64 = std::iter::once(sparse_sq)
+        .chain(dense.iter().map(|p| p.grad_norm_sq()))
+        .sum();
+    let norm = norm_sq.sqrt() as f32;
+    if norm > max_norm && norm > 0.0 {
+        let factor = max_norm / norm;
+        for &r in rows {
+            sparse.grad_row_mut(r).iter_mut().for_each(|g| *g *= factor);
+        }
+        for p in dense.iter_mut() {
             p.scale_grad(factor);
         }
     }
@@ -216,6 +261,41 @@ mod tests {
         assert!((after.sqrt() - 1.0).abs() < 1e-5);
         // direction preserved
         assert!(a.grad[0] > 0.0 && b.grad[0] > 0.0);
+    }
+
+    /// Gradients of a `vocab × 3` table with `rows` written (including
+    /// negative and zero entries), plus a small dense parameter.
+    fn sparse_case(rows: &[usize], scale: f32) -> (Param, Param) {
+        let mut table = Param::zeros(6, 3);
+        for (k, &r) in rows.iter().enumerate() {
+            let g = scale * (k as f32 + 1.0);
+            table.grad_row_mut(r).copy_from_slice(&[g, -0.5 * g, 0.0]);
+        }
+        let mut dense = Param::zeros(1, 2);
+        dense.grad.copy_from_slice(&[0.25 * scale, -1.5]);
+        (table, dense)
+    }
+
+    #[test]
+    fn row_clipping_matches_dense_clipping_bitwise() {
+        for scale in [0.01f32, 0.3, 7.0] {
+            for rows in [&[0usize][..], &[1, 4], &[0, 2, 3, 5]] {
+                let (mut t0, mut d0) = sparse_case(rows, scale);
+                let (mut t1, mut d1) = sparse_case(rows, scale);
+                let dense_norm = clip_global_norm(&mut [&mut t0, &mut d0], 1.0);
+                let rows_norm = clip_global_norm_rows(&mut t1, rows, &mut [&mut d1], 1.0);
+                assert_eq!(
+                    dense_norm.to_bits(),
+                    rows_norm.to_bits(),
+                    "{rows:?} × {scale}"
+                );
+                let bits = |p: &Param| p.grad.iter().map(|g| g.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&t0), bits(&t1), "{rows:?} × {scale}");
+                assert_eq!(bits(&d0), bits(&d1), "{rows:?} × {scale}");
+                t1.zero_grad_rows(rows);
+                assert!(t1.grad.iter().all(|&g| g.to_bits() == 0));
+            }
+        }
     }
 
     #[test]
