@@ -39,7 +39,7 @@ use obs::{names, Counter, Gauge, Obs, OpsEvent, Span, Stage, StageHandle};
 use rnet::{RoadNetwork, SegmentId};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
-use traj::{Hibernate, SdPair, SessionEngine, SessionId, SessionSlab, SupervisedEngine};
+use traj::{Hibernate, SdPair, SessionEngine, SessionId, SessionSlab};
 
 /// Lanes a batched round advances together. The round's gather, gate and
 /// head buffers are sized by this, not by the round — a loaded door's
@@ -1057,21 +1057,19 @@ impl SessionEngine for StreamEngine {
         self.sweep_idle();
         self.mirror_obs();
     }
-}
 
-/// Crash salvage for supervised ingest shards.
-///
-/// After a worker panic, the supervisor builds a **fresh** engine from
-/// its factory and moves every survivable session across via these two
-/// hooks. The wire format is the hibernation blob with one twist: the
-/// 4-byte prefix is rewritten from the epoch *slot* id (reused across
-/// swaps, meaningless in another engine) to the epoch's monotone swap
-/// **sequence** number, which both engines agree on as long as they saw
-/// the same swap history. `import_session` only accepts blobs whose
-/// sequence matches the current epoch — sessions still pinned to an
-/// older, drained epoch cannot be rebuilt against the wrong weights and
-/// are quarantined by the supervisor instead of silently relabelled.
-impl SupervisedEngine for StreamEngine {
+    /// Crash salvage for the ingest door's shard workers.
+    ///
+    /// After a worker panic, the supervisor builds a **fresh** engine from
+    /// its factory and moves every survivable session across via these two
+    /// hooks. The wire format is the hibernation blob with one twist: the
+    /// 4-byte prefix is rewritten from the epoch *slot* id (reused across
+    /// swaps, meaningless in another engine) to the epoch's monotone swap
+    /// **sequence** number, which both engines agree on as long as they saw
+    /// the same swap history. `import_session` only accepts blobs whose
+    /// sequence matches the current epoch — sessions still pinned to an
+    /// older, drained epoch cannot be rebuilt against the wrong weights and
+    /// are quarantined by the supervisor instead of silently relabelled.
     fn export_sessions(&mut self) -> Vec<(SessionId, Vec<u8>)> {
         use std::panic::{catch_unwind, AssertUnwindSafe};
         // Freeze every hot session through the delta codec. The engine

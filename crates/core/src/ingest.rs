@@ -22,6 +22,7 @@
 //! trait docs and `docs/ARCHITECTURE.md`.
 
 use crate::engine::{EngineStats, EpochStats, HibernationConfig, StreamEngine};
+use crate::sharded::ShardedEngine;
 use crate::train::TrainedModel;
 use obs::{Obs, Snapshot};
 use rnet::RoadNetwork;
@@ -68,6 +69,17 @@ impl IngestEngine {
     /// road network (the `Arc`s are cloned per shard; the weights are
     /// not), each behind its own ingress queue and worker thread.
     ///
+    /// Every shard worker runs its batch loop under a panic boundary
+    /// ([`IngestFrontDoor::build`]). A panicking shard (torn state,
+    /// injected fault) is restarted in place: the sessions implicated in
+    /// the aborted batch end with an explicit [`traj::SessionFault`], the
+    /// shard's [`StreamEngine`] is rebuilt over the same model and
+    /// network, and every other session is salvaged across via the
+    /// hibernation codec (byte-identical labels for unaffected sessions;
+    /// property-tested in `tests/faults.rs`). Out-of-range segments are
+    /// poison: they quarantine their own session and never reach the
+    /// engine.
+    ///
     /// # Panics
     /// Panics if `shards == 0`.
     pub fn new(
@@ -76,7 +88,7 @@ impl IngestEngine {
         shards: usize,
         config: IngestConfig,
     ) -> Self {
-        Self::build(model, net, shards, config, None)
+        Self::start(model, net, shards, config, None)
     }
 
     /// [`IngestEngine::new`] with idle-session hibernation enabled on
@@ -93,63 +105,25 @@ impl IngestEngine {
         config: IngestConfig,
         hibernation: HibernationConfig,
     ) -> Self {
-        Self::build(model, net, shards, config, Some(hibernation))
+        Self::start(model, net, shards, config, Some(hibernation))
     }
 
-    /// [`IngestEngine::new`] with **supervised** shard workers: each
-    /// worker runs its batch loop under a panic boundary. A panicking
-    /// shard (torn state, poisoned event, injected fault) is restarted in
-    /// place — the supervisor quarantines only the sessions implicated in
-    /// the aborted batch with an explicit [`traj::SessionFault`], rebuilds
-    /// the shard's [`StreamEngine`] from this constructor's factory, and
-    /// salvages every other session across via the hibernation codec
-    /// (byte-identical labels for unaffected sessions; property-tested in
-    /// `tests/faults.rs`). Pass `hibernation` to also enable the idle
-    /// sweep, exactly as [`IngestEngine::with_hibernation`] does.
-    ///
-    /// # Panics
-    /// Panics if `shards == 0`.
-    pub fn supervised(
+    fn start(
         model: Arc<TrainedModel>,
         net: Arc<RoadNetwork>,
         shards: usize,
         config: IngestConfig,
         hibernation: Option<HibernationConfig>,
     ) -> Self {
-        assert!(shards > 0, "need at least one shard");
         let obs = config.obs.clone();
         let factory_obs = obs.clone();
         IngestEngine {
-            door: IngestFrontDoor::build_supervised(
+            door: IngestFrontDoor::build(
                 shards,
                 move |i| {
                     let mut engine = StreamEngine::new(Arc::clone(&model), Arc::clone(&net));
                     engine.set_hibernation(hibernation);
                     engine.set_obs(&factory_obs, i);
-                    engine
-                },
-                config,
-            ),
-            obs,
-        }
-    }
-
-    fn build(
-        model: Arc<TrainedModel>,
-        net: Arc<RoadNetwork>,
-        shards: usize,
-        config: IngestConfig,
-        hibernation: Option<HibernationConfig>,
-    ) -> Self {
-        assert!(shards > 0, "need at least one shard");
-        let obs = config.obs.clone();
-        IngestEngine {
-            door: IngestFrontDoor::build(
-                shards,
-                |i| {
-                    let mut engine = StreamEngine::new(Arc::clone(&model), Arc::clone(&net));
-                    engine.set_hibernation(hibernation);
-                    engine.set_obs(&obs, i);
                     engine
                 },
                 config,
@@ -182,28 +156,13 @@ impl IngestEngine {
     pub fn shutdown(self) -> IngestReport {
         let IngestEngine { door, obs } = self;
         let report = door.shutdown();
-        let shard_stats: Vec<EngineStats> = report.engines.iter().map(|e| e.stats()).collect();
-        let engine: EngineStats = shard_stats.iter().copied().sum();
-        let decision_counts = report
-            .engines
-            .iter()
-            .map(|e| e.decision_counts())
-            .fold((0, 0), |(r, p), (sr, sp)| (r + sr, p + sp));
-        let mut epoch_stats: Vec<EpochStats> = Vec::new();
-        for shard in &report.engines {
-            for (seq, &stats) in shard.epoch_stats().iter().enumerate() {
-                if seq == epoch_stats.len() {
-                    epoch_stats.push(EpochStats::default());
-                }
-                epoch_stats[seq] += stats;
-            }
-        }
+        let shards = ShardedEngine::from_shards(report.engines);
         IngestReport {
             ingest: report.stats,
-            engine,
-            shard_stats,
-            decision_counts,
-            epoch_stats,
+            engine: shards.stats(),
+            shard_stats: shards.shard_stats(),
+            decision_counts: shards.decision_counts(),
+            epoch_stats: shards.epoch_stats(),
             obs: obs.snapshot(),
         }
     }
@@ -220,8 +179,9 @@ impl IngestEngine {
 /// contract, sessions opened *after* the swap (their `open` is behind the
 /// command in the same queue) run the new weights; sessions already open
 /// drain to completion on the `Arc` of the model they started with, which
-/// is freed when their last session closes. Property-tested end-to-end in
-/// `tests/hotswap.rs`.
+/// each shard engine drops when their last session closes (the
+/// construction model stays referenced by the shard-rebuild factory until
+/// shutdown). Property-tested end-to-end in `tests/hotswap.rs`.
 pub trait SwapModel {
     /// Broadcasts `model` to every shard; see the trait docs for the
     /// exact semantics. Blocks only for queue space (a partial swap would

@@ -139,7 +139,12 @@ impl Preprocessor {
             slot_stats: HashMap::new(),
             pair_stats: HashMap::new(),
         };
-        for (&pair, ids) in &data.by_pair {
+        // Pairs in sorted order: the drop draws come from one RNG, and a
+        // `HashMap`'s iteration order differs per instance, so iterating
+        // `by_pair` directly would make the fit depend on the map.
+        let mut pairs: Vec<(&SdPair, &Vec<TrajectoryId>)> = data.by_pair.iter().collect();
+        pairs.sort_unstable_by_key(|&(&pair, _)| pair);
+        for (&pair, ids) in pairs {
             let kept: Vec<TrajectoryId> = if drop_rate > 0.0 {
                 let mut ids = ids.clone();
                 ids.shuffle(&mut rng);
@@ -357,6 +362,28 @@ mod tests {
         let ds = Dataset::from_generated(&data);
         let pre = Preprocessor::fit(&Rl4oasdConfig::tiny(seed), &ds);
         (data, ds, pre)
+    }
+
+    /// The cold-start fit is a function of the data and the seed alone:
+    /// two datasets with the same trajectories (each with its own
+    /// `by_pair` map, so a different iteration order) fit identically.
+    #[test]
+    fn fit_with_drop_is_reproducible() {
+        let net = CityBuilder::new(CityConfig::tiny(5)).build();
+        let cfg = TrafficConfig {
+            num_sd_pairs: 6,
+            trajs_per_pair: (20, 30),
+            ..TrafficConfig::tiny(5)
+        };
+        let data = TrafficSimulator::new(&net, cfg).generate();
+        let config = Rl4oasdConfig::tiny(5);
+        let fit = |ds: &Dataset| {
+            serde_json::to_string(&Preprocessor::fit_with_drop(&config, ds, 0.5, 9))
+                .expect("preprocessor serialises")
+        };
+        let a = Dataset::from_generated(&data);
+        let b = Dataset::from_generated(&data);
+        assert_eq!(fit(&a), fit(&b));
     }
 
     #[test]

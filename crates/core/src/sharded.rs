@@ -71,6 +71,15 @@ impl ShardedEngine {
         }
     }
 
+    /// Wraps already-built shards — how [`crate::IngestEngine::shutdown`]
+    /// aggregates its drained shard engines with this type's stats
+    /// methods.
+    pub(crate) fn from_shards(shards: Vec<StreamEngine>) -> Self {
+        ShardedEngine {
+            inner: Sharded::from_shards(shards),
+        }
+    }
+
     /// Builder form of [`ShardedEngine::set_hibernation`].
     pub fn with_hibernation(mut self, cfg: HibernationConfig) -> Self {
         self.set_hibernation(Some(cfg));

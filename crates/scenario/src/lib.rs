@@ -26,10 +26,9 @@
 //!   `BENCH_scenarios.json`;
 //! * a [`FaultPlan`] layers **deterministic fault injection** (poison
 //!   events, worker panics, queue stalls, slow shards) over any trace:
-//!   [`ScenarioRunner::run_supervised`] replays it through supervised
-//!   ingest shards and reports recovery metrics (labels lost, restarts,
-//!   MTTR in ticks) next to the usual scores — the drill the chaos bin
-//!   (`crates/bench/src/bin/faults.rs`) records to `BENCH_faults.json`.
+//!   [`ScenarioRunner::run_supervised`] replays it through the ingest
+//!   shards and reports recovery metrics (labels lost, restarts, MTTR in
+//!   ticks) next to the usual scores — the drills of `tests/faults.rs`.
 //!
 //! Every future detector (ensemble, CroTad-style contrastive, graph
 //! enhanced) is benchmarked on this harness.

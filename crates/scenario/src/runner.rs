@@ -340,7 +340,9 @@ impl ScenarioRunner {
                 let ticket = retry
                     .run(u64::from(id), || handle.close(session))
                     .unwrap_or_else(|e| panic!("close rejected: {e:?}"));
-                labels[id as usize] = ticket.wait().expect("unsupervised run never faults");
+                labels[id as usize] = ticket
+                    .wait()
+                    .expect("a replay without injected faults never faults a session");
                 drop(sub);
             }
         }
@@ -475,7 +477,7 @@ impl ScenarioRunner {
         }
     }
 
-    /// Replays `trace` through **supervised** ingest shards while
+    /// Replays `trace` through the (always supervised) ingest shards while
     /// injecting `plan`'s faults, and reports recovery metrics next to
     /// the usual labels.
     ///
@@ -495,7 +497,7 @@ impl ScenarioRunner {
         plan: &FaultPlan,
     ) -> FaultOutcome {
         traj::silence_injected_panic_output();
-        let engine = IngestEngine::supervised(
+        let engine = IngestEngine::new(
             Arc::clone(&self.model),
             Arc::clone(&self.net),
             shards,
@@ -505,7 +507,6 @@ impl ScenarioRunner {
                 obs: self.obs.clone(),
                 ..Default::default()
             },
-            None,
         );
         let handle = engine.handle();
         let retry = RetryPolicy::unbounded(BACKOFF_SEED);

@@ -78,8 +78,6 @@ pub struct ServerConfig {
     /// accounting-identical to an in-process caller retrying forever;
     /// a bounded policy surfaces exhaustion as [`WireError::QueueFull`].
     pub retry: RetryPolicy,
-    /// Run supervised shard workers (panic isolation + session salvage).
-    pub supervised: bool,
 }
 
 impl Default for ServerConfig {
@@ -89,7 +87,6 @@ impl Default for ServerConfig {
             ingest: IngestConfig::default(),
             tenants: Vec::new(),
             retry: RetryPolicy::unbounded(0x0A5D_5EA5),
-            supervised: false,
         }
     }
 }
@@ -337,15 +334,10 @@ impl Server {
             ingest,
             tenants,
             retry,
-            supervised,
         } = config;
         let obs = ingest.obs.clone();
         let num_segments = net.num_segments() as u32;
-        let engine = if supervised {
-            IngestEngine::supervised(model, net, shards, ingest, None)
-        } else {
-            IngestEngine::new(model, net, shards, ingest)
-        };
+        let engine = IngestEngine::new(model, net, shards, ingest);
         let shared = Arc::new(Shared {
             stop: AtomicBool::new(false),
             handle: engine.handle(),

@@ -47,22 +47,23 @@
 //!   engine state. The handle is typed by its engine (`IngestHandle<E>`),
 //!   so commands for the wrong engine type are a compile error, not a
 //!   runtime surprise;
-//! * **fault tolerance** (opt-in via [`IngestFrontDoor::build_supervised`])
-//!   — each shard worker runs under a supervisor: a panic in batch
-//!   processing quarantines only the sessions implicated in the aborted
-//!   micro-batch (their subscriptions terminate with an explicit
-//!   [`SessionFault`], never a hang), salvages every other session on the
-//!   shard through the hibernate freeze/thaw path, rebuilds the engine
-//!   from the construction factory and resumes — unaffected sessions keep
-//!   byte-identical labels. Events the engine rejects as unprocessable
-//!   ([`SessionEngine::admit`]) are *poison*: they quarantine their
-//!   session before ever reaching the engine, so one malformed trip can
-//!   never crash a shard. Producers get policy tools on the handle —
-//!   bounded [`RetryPolicy`] backoff, [`IngestHandle::submit_with_deadline`],
-//!   and degraded-mode admission control that sheds [`Priority::Low`]
-//!   opens while a shard is restarting or persistently full. Accounting
-//!   stays exact across faults:
-//!   `flushed + shed + quarantined == submitted`.
+//! * **fault tolerance** — every shard worker runs under a supervisor: a
+//!   panic in batch processing quarantines only the sessions implicated
+//!   in the aborted micro-batch (their subscriptions terminate with an
+//!   explicit [`SessionFault`], never a hang), salvages every other
+//!   session on the shard through the engine's
+//!   [`SessionEngine::export_sessions`] / [`SessionEngine::import_session`]
+//!   pair (the hibernate freeze/thaw path for `rl4oasd::StreamEngine`),
+//!   rebuilds the engine from the construction factory and resumes —
+//!   unaffected sessions keep byte-identical labels. Events the engine
+//!   rejects as unprocessable ([`SessionEngine::admit`]) are *poison*:
+//!   they quarantine their session before ever reaching the engine, so
+//!   one malformed trip can never crash a shard. Producers get policy
+//!   tools on the handle — bounded [`RetryPolicy`] backoff,
+//!   [`IngestHandle::submit_with_deadline`], and degraded-mode admission
+//!   control that sheds [`Priority::Low`] opens while a shard is
+//!   restarting or persistently full. Accounting stays exact across
+//!   faults: `flushed + shed + quarantined == submitted`.
 //!
 //! Because a session's events reach its shard in submit order and
 //! [`SessionEngine`] guarantees interleaving never changes labels, the
@@ -70,7 +71,7 @@
 //! `observe_batch` synchronously — for any [`FlushPolicy`] and any shard
 //! count (property-tested in `tests/ingest.rs`).
 
-use crate::session::{SessionEngine, SessionId, SupervisedEngine};
+use crate::session::{SessionEngine, SessionId};
 use crate::sink::{label_sink, LabelSink, SinkConsumer, SinkEvent};
 use crate::types::SdPair;
 use obs::{names, Counter, Gauge, Histo, Obs, OpsEvent, Stage, StageHandle};
@@ -1015,7 +1016,8 @@ impl<E> IngestHandle<E> {
         self.shared.rejected.load(Ordering::Relaxed)
     }
 
-    /// Live count of supervised-worker restarts across all shards.
+    /// Live count of shard-worker restarts (one per caught panic) across
+    /// all shards.
     pub fn worker_restarts(&self) -> u64 {
         self.sum_health(|h| h.restarts.load(Ordering::Relaxed))
     }
@@ -1122,6 +1124,10 @@ struct Route {
     key: u64,
 }
 
+/// Builds shard `i`'s engine; kept by every worker to rebuild its engine
+/// after a caught panic.
+type ShardFactory<E> = dyn Fn(usize) -> E + Send + Sync;
+
 /// One persistent shard worker: owns its engine and its reused batch
 /// scratch; drains its ingress queue; flushes micro-batches per the
 /// [`FlushPolicy`].
@@ -1167,7 +1173,7 @@ struct WorkerTelemetry {
     batch_compute: StageHandle,
     /// Outbox fan-out of fresh labels.
     label_delivery: StageHandle,
-    /// One supervised-worker recovery (salvage + rebuild + re-import).
+    /// One shard-worker recovery (salvage + rebuild + re-import).
     restart_sweep: StageHandle,
     /// submit→label end-to-end latency (mirror of the per-worker
     /// [`LatencyHistogram`] so snapshots and Prometheus scrapes see it).
@@ -1490,8 +1496,8 @@ impl<E: SessionEngine + 'static> Worker<E> {
     }
 
     /// The serve loop: drains the ingress queue until shutdown (or every
-    /// sender is gone). Split from [`run`](Self::run) so the supervised
-    /// variant can re-enter it after recovering from a panic.
+    /// sender is gone). Split from [`run`](Self::run) so the supervisor
+    /// can re-enter it after recovering from a panic.
     ///
     /// Opportunistic group commit: with events pending the worker takes
     /// whatever is already queued and flushes the moment the queue is
@@ -1538,23 +1544,14 @@ impl<E: SessionEngine + 'static> Worker<E> {
         }
     }
 
-    fn run(mut self) -> WorkerReport<E> {
-        self.serve();
-        self.finish()
-    }
-}
-
-impl<E: SupervisedEngine + 'static> Worker<E> {
     /// The supervised serve loop: any panic that escapes batch processing
     /// is caught, the shard recovers in place (quarantine + salvage +
     /// engine rebuild), and serving resumes — the worker thread never
-    /// dies from an engine panic.
-    fn run_supervised(mut self, factory: Arc<dyn Fn(usize) -> E + Send + Sync>) -> WorkerReport<E> {
-        loop {
-            match catch_unwind(AssertUnwindSafe(|| self.serve())) {
-                Ok(()) => break,
-                Err(_panic) => self.recover(&factory),
-            }
+    /// dies from an engine panic. The boundary is set up once per
+    /// [`serve`](Self::serve) entry, not per batch.
+    fn run(mut self, factory: Arc<ShardFactory<E>>) -> WorkerReport<E> {
+        while catch_unwind(AssertUnwindSafe(|| self.serve())).is_err() {
+            self.recover(&*factory);
         }
         self.finish()
     }
@@ -1571,7 +1568,7 @@ impl<E: SupervisedEngine + 'static> Worker<E> {
     /// across are quarantined as [`SessionFault::Unsalvageable`] — never
     /// silently dropped. Panics injected at a flush boundary (the batch
     /// is empty there) therefore lose nothing at all.
-    fn recover(&mut self, factory: &Arc<dyn Fn(usize) -> E + Send + Sync>) {
+    fn recover(&mut self, factory: &ShardFactory<E>) {
         self.health.restarting.store(true, Ordering::SeqCst);
         self.tele.degraded.set(1);
         self.tele.obs.event(OpsEvent::DegradedEnter {
@@ -1661,50 +1658,73 @@ impl<E: SupervisedEngine + 'static> Worker<E> {
 /// into [`SessionEngine::observe_batch`] ticks under a [`FlushPolicy`].
 ///
 /// See the [module docs](self) for the full contract. Construct with
-/// [`IngestFrontDoor::new`] / [`IngestFrontDoor::build`], produce through
-/// cloned [`IngestHandle`]s, and finish with [`IngestFrontDoor::shutdown`]
-/// to drain in-flight events and recover the shard engines.
+/// [`IngestFrontDoor::build`], produce through cloned [`IngestHandle`]s,
+/// and finish with [`IngestFrontDoor::shutdown`] to drain in-flight
+/// events and recover the shard engines.
 pub struct IngestFrontDoor<E> {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<WorkerReport<E>>>,
 }
 
 impl<E: SessionEngine + Send + 'static> IngestFrontDoor<E> {
-    /// Shared construction: builds the queues, health cells and shared
-    /// state, then hands each [`Worker`] to `spawn` (which decides
-    /// whether it runs plain or supervised).
-    fn construct(
-        shards: Vec<E>,
+    /// Builds `n` shard engines with `factory` (called with each shard
+    /// index) and spawns one persistent worker per shard.
+    ///
+    /// Every worker runs under a supervisor: a panic in batch processing
+    /// is caught, the sessions implicated in the aborted micro-batch are
+    /// quarantined with an explicit [`SessionFault`], every other session
+    /// on the shard is salvaged byte-exactly into a fresh engine built by
+    /// `factory` ([`SessionEngine::export_sessions`] /
+    /// [`SessionEngine::import_session`]; an engine that keeps the
+    /// defaults salvages nothing, so its sessions end
+    /// [`SessionFault::Unsalvageable`]), and serving resumes. `factory` is
+    /// retained for the door's lifetime — it must produce an engine
+    /// equivalent to shard `i`'s original one (same model weights, same
+    /// network), or salvaged sessions would relabel differently.
+    ///
+    /// Poison events ([`SessionEngine::admit`] returning `false`) never
+    /// reach the engine at all: they quarantine their own session without
+    /// a restart.
+    ///
+    /// # Panics
+    /// Panics if `n` is zero or `config.queue_capacity` is zero.
+    pub fn build(
+        n: usize,
+        factory: impl Fn(usize) -> E + Send + Sync + 'static,
         config: IngestConfig,
-        spawn: impl Fn(Worker<E>, usize) -> JoinHandle<WorkerReport<E>>,
     ) -> Self {
-        assert!(!shards.is_empty(), "need at least one shard");
+        assert!(n > 0, "need at least one shard");
         assert!(config.queue_capacity > 0, "queue capacity must be positive");
-        let num_shards = shards.len();
-        let health: Vec<Arc<ShardHealth>> = (0..num_shards)
-            .map(|_| Arc::new(ShardHealth::default()))
-            .collect();
-        let mut queues = Vec::with_capacity(num_shards);
-        let mut workers = Vec::with_capacity(num_shards);
-        for (i, engine) in shards.into_iter().enumerate() {
+        let factory: Arc<ShardFactory<E>> = Arc::new(factory);
+        let health: Vec<Arc<ShardHealth>> =
+            (0..n).map(|_| Arc::new(ShardHealth::default())).collect();
+        let mut queues = Vec::with_capacity(n);
+        let mut workers = Vec::with_capacity(n);
+        for (i, health) in health.iter().enumerate() {
             let (tx, rx) = sync_channel(config.queue_capacity);
             queues.push(tx);
             let worker = Worker::new(
-                engine,
+                factory(i),
                 rx,
                 config.flush,
                 &config.obs,
                 i,
-                Arc::clone(&health[i]),
+                Arc::clone(health),
             );
-            workers.push(spawn(worker, i));
+            let factory = Arc::clone(&factory);
+            workers.push(
+                std::thread::Builder::new()
+                    .name(format!("ingest-shard-{i}"))
+                    .spawn(move || worker.run(factory))
+                    .expect("spawn ingest worker"),
+            );
         }
         let shard_counter = |name: &str| -> Vec<Counter> {
-            (0..num_shards)
+            (0..n)
                 .map(|i| config.obs.counter(name, &[("shard", &i.to_string())]))
                 .collect()
         };
-        let obs_degraded = (0..num_shards)
+        let obs_degraded = (0..n)
             .map(|i| {
                 config
                     .obs
@@ -1731,24 +1751,6 @@ impl<E: SessionEngine + Send + 'static> IngestFrontDoor<E> {
             }),
             workers,
         }
-    }
-
-    /// Spawns one persistent worker per pre-built shard engine.
-    ///
-    /// # Panics
-    /// Panics if `shards` is empty or `config.queue_capacity` is zero.
-    pub fn new(shards: Vec<E>, config: IngestConfig) -> Self {
-        Self::construct(shards, config, |worker, i| {
-            std::thread::Builder::new()
-                .name(format!("ingest-shard-{i}"))
-                .spawn(move || worker.run())
-                .expect("spawn ingest worker")
-        })
-    }
-
-    /// Builds `n` shards from a factory called with each shard index.
-    pub fn build(n: usize, mut factory: impl FnMut(usize) -> E, config: IngestConfig) -> Self {
-        Self::new((0..n).map(&mut factory).collect(), config)
     }
 
     /// A cheap, cloneable producer handle, typed by this door's engine.
@@ -1779,7 +1781,11 @@ impl<E: SessionEngine + Send + 'static> IngestFrontDoor<E> {
     /// (their subscriptions disconnect without final labels).
     ///
     /// # Panics
-    /// Propagates a worker panic (e.g. from a submit on a closed session).
+    /// Propagates a panic that escaped a worker's supervisor: one raised
+    /// while recovering from an earlier panic (by the shard factory, say)
+    /// or by the final flush of the batch pending at shutdown. A panic in
+    /// ordinary batch processing is caught and recovered from, and never
+    /// reaches this call.
     pub fn shutdown(mut self) -> ShutdownReport<E> {
         self.shared.closed.store(true, Ordering::SeqCst);
         // Quiescence: wait out producers already past the closed check.
@@ -1834,40 +1840,6 @@ impl<E: SessionEngine + Send + 'static> IngestFrontDoor<E> {
             stats.worker_restarts += health.restarts.load(Ordering::SeqCst);
         }
         ShutdownReport { engines, stats }
-    }
-}
-
-impl<E: SupervisedEngine + Send + 'static> IngestFrontDoor<E> {
-    /// Like [`IngestFrontDoor::build`], but each shard worker runs under
-    /// a supervisor: a panic in batch processing is caught, the sessions
-    /// implicated in the aborted micro-batch are quarantined with an
-    /// explicit [`SessionFault`], every other session on the shard is
-    /// salvaged byte-exactly through the hibernate freeze/thaw path into
-    /// a fresh engine built by `factory`, and serving resumes. `factory`
-    /// is retained for the door's lifetime — it must produce an engine
-    /// equivalent to shard `i`'s original one (same model weights, same
-    /// network), or salvaged sessions would relabel differently.
-    ///
-    /// Poison events ([`SessionEngine::admit`] returning `false`) never
-    /// reach the engine at all: they quarantine their own session without
-    /// a restart.
-    ///
-    /// # Panics
-    /// Panics if `n` is zero or `config.queue_capacity` is zero.
-    pub fn build_supervised(
-        n: usize,
-        factory: impl Fn(usize) -> E + Send + Sync + 'static,
-        config: IngestConfig,
-    ) -> Self {
-        let factory: Arc<dyn Fn(usize) -> E + Send + Sync> = Arc::new(factory);
-        let engines: Vec<E> = (0..n).map(|i| (factory)(i)).collect();
-        Self::construct(engines, config, move |worker, i| {
-            let factory = Arc::clone(&factory);
-            std::thread::Builder::new()
-                .name(format!("ingest-shard-{i}"))
-                .spawn(move || worker.run_supervised(factory))
-                .expect("spawn supervised ingest worker")
-        })
     }
 }
 
@@ -2336,7 +2308,7 @@ mod tests {
     }
 
     /// Parity labels with a poison segment (`u32::MAX`) and full
-    /// export/import support — the miniature of a supervised
+    /// export/import support — the miniature of a salvageable
     /// `StreamEngine` shard for fault tests.
     struct Fragile {
         sessions: crate::SessionSlab<Vec<u8>>,
@@ -2371,9 +2343,6 @@ mod tests {
         fn admit(&self, segment: SegmentId) -> bool {
             segment.0 != u32::MAX
         }
-    }
-
-    impl SupervisedEngine for Fragile {
         fn export_sessions(&mut self) -> Vec<(SessionId, Vec<u8>)> {
             self.sessions
                 .iter_hot()
@@ -2386,7 +2355,7 @@ mod tests {
     }
 
     fn fragile_door(shards: usize, config: IngestConfig) -> IngestFrontDoor<Fragile> {
-        IngestFrontDoor::build_supervised(shards, |_| Fragile::new(), config)
+        IngestFrontDoor::build(shards, |_| Fragile::new(), config)
     }
 
     fn assert_exact_accounting(stats: &IngestStats) {
@@ -2496,25 +2465,37 @@ mod tests {
         assert_exact_accounting(&report.stats);
     }
 
+    /// An engine that keeps the default (empty) salvage hooks still
+    /// survives a panic: the worker restarts once, every session it held
+    /// ends with an explicit `Unsalvageable` fault instead of a hang, and
+    /// sessions opened afterwards are served by the rebuilt engine.
     #[test]
-    fn close_ticket_resolves_with_error_when_worker_dies_unsupervised() {
+    fn panic_without_salvage_quarantines_as_unsalvageable_and_serves_on() {
         silence_injected_panic_output();
         let door = parity_door(1, IngestConfig::default());
         let handle = door.handle();
-        let (s, _sub) = handle.open(sd(0, 9), 0.0).unwrap();
+        let (s, sub) = handle.open(sd(0, 9), 0.0).unwrap();
+        handle.submit(s, SegmentId(1)).unwrap();
         handle
             .control(|_engine: &mut SessionMux<Parity, fn() -> Parity>| {
-                panic!("{}: unsupervised death", FAULT_INJECTION_MARKER)
+                panic!("{}: worker panic", FAULT_INJECTION_MARKER)
             })
             .unwrap();
-        // The close races the worker's death: either the push already
-        // sees the disconnect, or the ticket resolves with WorkerCrash.
-        // Never a hang, never a panic in the caller.
-        match handle.close(s) {
-            Ok(ticket) => assert_eq!(ticket.wait(), Err(SessionFault::WorkerCrash)),
-            Err(err) => assert_eq!(err, SubmitError::ShutDown),
-        }
-        drop(door); // shutdown() would re-raise the injected panic
+        assert_eq!(
+            handle.close(s).unwrap().wait(),
+            Err(SessionFault::Unsalvageable)
+        );
+        assert_eq!(sub.fault(), Some(SessionFault::Unsalvageable));
+        assert_eq!(handle.worker_restarts(), 1);
+        let (after, _sub_after) = handle.open(sd(1, 8), 0.0).unwrap();
+        handle.submit(after, SegmentId(2)).unwrap();
+        handle.submit(after, SegmentId(3)).unwrap();
+        assert_eq!(handle.close(after).unwrap().wait().unwrap(), vec![0, 1]);
+        let report = door.shutdown();
+        assert_eq!(report.stats.worker_restarts, 1);
+        assert_eq!(report.stats.quarantined_sessions, 1);
+        assert_eq!(report.stats.flushed_events, 3);
+        assert_exact_accounting(&report.stats);
     }
 
     #[test]

@@ -59,7 +59,7 @@ pub use ingest::{
     ShutdownReport, SubmitError, Subscription, FAULT_INJECTION_MARKER,
 };
 pub use labels::{extract_subtrajectories, LabelSpan};
-pub use session::{SessionEngine, SessionId, SessionMux, SessionSlab, Sharded, SupervisedEngine};
+pub use session::{SessionEngine, SessionId, SessionMux, SessionSlab, Sharded};
 pub use sink::{LabelSink, SinkConsumer, SinkEvent};
 pub use types::{
     slot_of_time, GpsPoint, MappedTrajectory, RawTrajectory, SdPair, TrajectoryId, Transition,

@@ -126,8 +126,8 @@ pub trait SessionEngine {
     fn maintain(&mut self) {}
 
     /// Whether `segment` is a value this engine can process without
-    /// panicking — the poison-event pre-screen of the supervised ingest
-    /// workers. Must be cheap, side-effect free and deterministic.
+    /// panicking — the poison-event pre-screen of the ingest door's
+    /// shard workers. Must be cheap, side-effect free and deterministic.
     /// Engines whose `observe` indexes by segment (embedding lookups)
     /// override this with their bounds check; the default admits
     /// everything.
@@ -138,30 +138,38 @@ pub trait SessionEngine {
 
     /// Number of currently open sessions.
     fn active_sessions(&self) -> usize;
-}
 
-/// A [`SessionEngine`] whose open sessions can be evacuated into opaque
-/// blobs and re-imported into a *fresh* engine built by the same factory —
-/// the salvage path of the supervised ingest workers
-/// ([`crate::IngestFrontDoor::build_supervised`]): when a worker panics,
-/// every session not implicated in the fault is exported from the wrecked
-/// engine, the engine is replaced, and the blobs are imported back, with
-/// labels byte-identical to a fault-free run.
-///
-/// Implementations typically reuse their [`Hibernate`] freeze format.
-pub trait SupervisedEngine: SessionEngine {
-    /// Exports every open session as `(handle, blob)` pairs, emptying the
-    /// engine. **Must not panic**, even when called on an engine whose
-    /// last batch panicked mid-flight: wrap per-session encoding in
-    /// `catch_unwind` and silently skip sessions whose state is
-    /// unserialisable — skipped sessions are quarantined by the caller.
-    fn export_sessions(&mut self) -> Vec<(SessionId, Vec<u8>)>;
+    /// Crash salvage, first half: exports every open session as
+    /// `(handle, blob)` pairs, emptying the engine. The ingest door's
+    /// shard workers call it on the wrecked engine after a panic, then
+    /// re-import the blobs into a fresh engine from the same factory
+    /// ([`SessionEngine::import_session`]), so every session not
+    /// implicated in the fault keeps byte-identical labels.
+    /// Implementations typically reuse their [`Hibernate`] freeze format.
+    ///
+    /// **Must not panic**, even on an engine whose last batch panicked
+    /// mid-flight: wrap per-session encoding in `catch_unwind` and skip
+    /// sessions whose state is unserialisable — the caller quarantines
+    /// every session it does not get back. The default salvages
+    /// nothing, so after a panic every session on that shard ends with
+    /// `SessionFault::Unsalvageable`.
+    ///
+    /// [`Sharded`] and `rl4oasd::ShardedEngine` do not forward this
+    /// pair: they are synchronous reference drivers and never run behind
+    /// a door.
+    fn export_sessions(&mut self) -> Vec<(SessionId, Vec<u8>)> {
+        Vec::new()
+    }
 
-    /// Imports one exported blob into this (fresh) engine, returning its
-    /// new handle — or `None` when the blob cannot be represented here
-    /// (e.g. it is pinned to a model epoch this engine does not have);
-    /// the caller quarantines such sessions.
-    fn import_session(&mut self, blob: &[u8]) -> Option<SessionId>;
+    /// Crash salvage, second half: imports one exported blob into this
+    /// (fresh) engine, returning its new handle — or `None` when the blob
+    /// cannot be represented here (e.g. it is pinned to a model epoch
+    /// this engine does not have); the caller quarantines such sessions.
+    /// Default: `None`.
+    fn import_session(&mut self, blob: &[u8]) -> Option<SessionId> {
+        let _ = blob;
+        None
+    }
 }
 
 /// Which tier a slot's session currently lives in.
@@ -485,7 +493,7 @@ impl<T> SessionSlab<T> {
     }
 
     /// Iterates over the **frozen** (hibernated) sessions' handles — the
-    /// salvage surface for supervised-worker recovery, which freezes every
+    /// salvage surface for shard-worker crash recovery, which freezes every
     /// exportable session and then lifts the blobs out with
     /// [`SessionSlab::take_frozen`].
     pub fn frozen_ids(&self) -> impl Iterator<Item = SessionId> + '_ {

@@ -90,6 +90,11 @@ fn assert_fault_isolation(out: &FaultOutcome, reference: &RunOutcome) {
             ),
         }
     }
+    assert_eq!(
+        out.labels_lost(),
+        out.faulted_sessions().len() as u64,
+        "labels_lost out of step with the fault ledger"
+    );
     assert!(
         out.accounting_exact(),
         "accounting leak: submitted={} flushed={} shed={} quarantined={}",
@@ -158,6 +163,52 @@ fn worker_panic_salvages_every_session_byte_identically() {
     }
 }
 
+/// The empty plan through the fault-injection replay is the plain
+/// replay: nothing lost, nothing restarted, labels byte-identical.
+#[test]
+fn fault_free_plan_loses_nothing() {
+    let fx = fixture();
+    let trace = drill_trace(fx, 0xBA5E, 32);
+    let flush = FlushPolicy::new(4);
+    for shards in [1usize, 2] {
+        let reference = baseline(fx, &trace, shards, flush);
+        let out = runner(fx).run_supervised(&trace, shards, flush, 256, &FaultPlan::none());
+        assert_fault_isolation(&out, &reference);
+        assert_eq!(out.labels_lost(), 0);
+        assert_eq!(out.labels, reference.labels);
+        assert_eq!(out.worker_restarts, 0);
+        assert_eq!(out.mttr_ticks, None);
+    }
+}
+
+/// Degraded-mode admission engages under a real backlog: a stall behind
+/// a capacity-1 queue keeps the lossless producer's retries failing past
+/// the degraded watermark (256 consecutive `QueueFull`s; at the retry
+/// policy's 2 ms backoff cap that takes ≈ 400 ms of stall), and the
+/// drill still loses nothing.
+#[test]
+fn stall_behind_tiny_queue_enters_degraded_mode_and_loses_nothing() {
+    let fx = fixture();
+    let trace = drill_trace(fx, 0xDE64, 24);
+    let plan = FaultPlan {
+        faults: vec![Fault::QueueStall {
+            at_tick: 8,
+            millis: 600,
+        }],
+    };
+    let flush = FlushPolicy::new(64);
+    let reference = baseline(fx, &trace, 2, flush);
+    let out = runner(fx).run_supervised(&trace, 2, flush, 1, &plan);
+    assert!(
+        out.degraded_entered,
+        "the capacity-1 stall must cross the degraded watermark"
+    );
+    assert_fault_isolation(&out, &reference);
+    assert_eq!(out.labels_lost(), 0);
+    assert_eq!(out.labels, reference.labels);
+    assert_eq!(out.worker_restarts, 0);
+}
+
 /// Poison events quarantine exactly their victims with
 /// [`SessionFault::PoisonEvent`]; every other session is untouched.
 #[test]
@@ -224,7 +275,7 @@ fn stalls_and_slowdowns_lose_nothing() {
 fn deadline_bounds_submit_latency_under_stall() {
     use std::time::Instant;
     let fx = fixture();
-    let engine = rl4oasd::IngestEngine::supervised(
+    let engine = rl4oasd::IngestEngine::new(
         Arc::clone(&fx.model),
         Arc::clone(&fx.world.net),
         1,
@@ -233,7 +284,6 @@ fn deadline_bounds_submit_latency_under_stall() {
             queue_capacity: 1,
             ..Default::default()
         },
-        None,
     );
     let handle = engine.handle();
     let trace = drill_trace(fx, 0xDEAD, 8);
@@ -273,12 +323,11 @@ fn deadline_bounds_submit_latency_under_stall() {
 #[test]
 fn handle_edge_faults_resolve_explicitly() {
     let fx = fixture();
-    let engine = rl4oasd::IngestEngine::supervised(
+    let engine = rl4oasd::IngestEngine::new(
         Arc::clone(&fx.model),
         Arc::clone(&fx.world.net),
         2,
         IngestConfig::default(),
-        None,
     );
     let handle = engine.handle();
     let trace = drill_trace(fx, 0xE55E, 8);

@@ -27,7 +27,7 @@ use rl4oasd_repro::serve::proto::{decode_frame, fault_from_code, frame_bytes};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn fixture() -> &'static EngineFixture {
     static FX: OnceLock<EngineFixture> = OnceLock::new();
@@ -611,6 +611,117 @@ fn check_poison_phase_frame(frame: Frame) {
         }
         other => panic!("unexpected frame during poison run: {other:?}"),
     }
+}
+
+/// Next frame from the server, or a test failure once `deadline` passes:
+/// a server whose shard died must fail the test, not hang it.
+fn recv_before(client: &mut Client, deadline: Instant) -> Frame {
+    loop {
+        if let Some(frame) = client.try_recv().expect("read frame") {
+            return frame;
+        }
+        assert!(Instant::now() < deadline, "no frame before the deadline");
+        std::thread::sleep(Duration::from_micros(200));
+    }
+}
+
+/// Opens `cid` and waits for its `Opened` verdict (labels of other
+/// sessions may arrive meanwhile and are dropped).
+fn open_before(client: &mut Client, cid: u64, traj: &MappedTrajectory, deadline: Instant) {
+    let sd = traj.sd_pair().expect("non-empty");
+    client
+        .send(&Frame::Open {
+            session: cid,
+            tenant: 0,
+            source: sd.source.0,
+            dest: sd.dest.0,
+            start_time: traj.start_time,
+            priority: 0,
+        })
+        .expect("send open");
+    loop {
+        match recv_before(client, deadline) {
+            Frame::Opened { session, .. } if session == cid => return,
+            Frame::Label { .. } => {}
+            other => panic!("unexpected frame awaiting open verdict: {other:?}"),
+        }
+    }
+}
+
+/// Submits `segments` for `cid` and waits until each has streamed its
+/// label back.
+fn submit_before(client: &mut Client, cid: u64, segments: &[SegmentId], deadline: Instant) {
+    for &seg in segments {
+        client
+            .send(&Frame::Submit {
+                session: cid,
+                segment: seg.0,
+            })
+            .expect("send submit");
+    }
+    let mut labels = 0;
+    while labels < segments.len() {
+        match recv_before(client, deadline) {
+            Frame::Label { session, .. } if session == cid => labels += 1,
+            other => panic!("unexpected frame awaiting labels: {other:?}"),
+        }
+    }
+}
+
+/// Closes `cid` and returns its authoritative final labels.
+fn close_before(client: &mut Client, cid: u64, deadline: Instant) -> Vec<u8> {
+    client
+        .send(&Frame::Close { session: cid })
+        .expect("send close");
+    match recv_before(client, deadline) {
+        Frame::Closed { session, labels } if session == cid => labels,
+        other => panic!("unexpected frame awaiting close: {other:?}"),
+    }
+}
+
+/// A default-configured `oasd-serve` survives a panic on every shard
+/// worker: the session open across the panic is salvaged with labels
+/// byte-identical to the in-process oracle, every shard restarts exactly
+/// once, and a session opened afterwards is served normally.
+#[test]
+fn default_server_survives_worker_panic() {
+    silence_injected_panic_output();
+    let fx = fixture();
+    let config = ServerConfig::default();
+    let shards = config.shards;
+    let server = Server::start(Arc::clone(&fx.model), Arc::clone(&fx.net), config)
+        .expect("bind loopback listeners");
+    let traj = fx
+        .trajs
+        .iter()
+        .find(|t| t.len() >= 4)
+        .expect("fixture has a trip of at least four segments");
+    let oracle = reference_labels(&fx.model, &fx.net, traj);
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let mut client = Client::connect(server.wire_addr()).expect("connect");
+
+    open_before(&mut client, 1, traj, deadline);
+    let (head, tail) = traj.segments.split_at(traj.len() / 2);
+    submit_before(&mut client, 1, head, deadline);
+    server
+        .handle()
+        .control(|_: &mut StreamEngine| panic!("{FAULT_INJECTION_MARKER}: worker panic"))
+        .expect("panic injection accepted");
+    submit_before(&mut client, 1, tail, deadline);
+    assert_eq!(
+        close_before(&mut client, 1, deadline),
+        oracle,
+        "the session open across the panic must be salvaged byte-exactly"
+    );
+
+    open_before(&mut client, 2, traj, deadline);
+    submit_before(&mut client, 2, &traj.segments, deadline);
+    assert_eq!(close_before(&mut client, 2, deadline), oracle);
+
+    drop(client);
+    let report = server.shutdown();
+    assert_eq!(report.ingest.worker_restarts, shards as u64);
+    assert_eq!(report.ingest.quarantined_sessions, 0);
 }
 
 /// Submits and closes for never-opened sessions, and out-of-range SD
