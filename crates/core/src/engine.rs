@@ -1058,73 +1058,71 @@ impl SessionEngine for StreamEngine {
         self.mirror_obs();
     }
 
-    /// Crash salvage for the ingest door's shard workers.
-    ///
-    /// After a worker panic, the supervisor builds a **fresh** engine from
-    /// its factory and moves every survivable session across via these two
-    /// hooks. The wire format is the hibernation blob with one twist: the
-    /// 4-byte prefix is rewritten from the epoch *slot* id (reused across
-    /// swaps, meaningless in another engine) to the epoch's monotone swap
-    /// **sequence** number, which both engines agree on as long as they saw
-    /// the same swap history. `import_session` only accepts blobs whose
-    /// sequence matches the current epoch — sessions still pinned to an
-    /// older, drained epoch cannot be rebuilt against the wrong weights and
-    /// are quarantined by the supervisor instead of silently relabelled.
-    fn export_sessions(&mut self) -> Vec<(SessionId, Vec<u8>)> {
+    /// Crash salvage: the successor takes this engine's whole control
+    /// plane (epochs, scopes, `epoch_log`, stats, counters, hibernation,
+    /// telemetry, tick) and its slab, so a restart rolls back no swap and
+    /// every salvaged session keeps its `SessionId`; only the tick scratch
+    /// is new. Slots an aborted round left taken are dropped, and so is
+    /// any session that fails a freeze → thaw round trip (a frozen one,
+    /// its thaw) under `catch_unwind`. Epoch live counts are recounted
+    /// from the survivors and unpinned epochs retire: no old model leaks.
+    fn successor(&mut self) -> Option<(Self, Vec<SessionId>)> {
         use std::panic::{catch_unwind, AssertUnwindSafe};
-        // Freeze every hot session through the delta codec. The engine
-        // just survived a panic, so any single session's state may be
-        // torn — a freeze that panics forfeits only that session.
-        let hot: Vec<SessionId> = self.sessions.iter_hot().map(|(id, _)| id).collect();
-        for id in hot {
-            let _ = catch_unwind(AssertUnwindSafe(|| self.hibernate_session(id)));
-        }
-        // Everything salvageable is now in the cold tier (including
-        // sessions that were already hibernated before the crash).
-        let frozen: Vec<SessionId> = self.sessions.frozen_ids().collect();
-        let mut out = Vec::with_capacity(frozen.len());
-        for id in frozen {
-            let mut blob = self.sessions.take_frozen(id);
-            if blob.len() < 4 {
-                continue;
-            }
-            let slot = u32::from_le_bytes(blob[..4].try_into().expect("4-byte epoch prefix"));
-            let Some(epoch) = self.epochs.get(slot as usize).and_then(Option::as_ref) else {
-                continue;
-            };
-            blob[..4].copy_from_slice(&epoch.seq.to_le_bytes());
-            out.push((id, blob));
-        }
-        out
-    }
-
-    fn import_session(&mut self, blob: &[u8]) -> Option<SessionId> {
-        use std::panic::{catch_unwind, AssertUnwindSafe};
-        if blob.len() < 4 {
-            return None;
-        }
-        let (head, rest) = blob.split_at(4);
-        let seq = u32::from_le_bytes(head.try_into().ok()?);
-        let current = self.current as usize;
-        let state = {
-            let e = self.epochs[current].as_ref()?;
-            if e.seq != seq {
-                return None;
-            }
-            let view = ModelView::of(&e.model, &self.net);
-            catch_unwind(AssertUnwindSafe(|| SessionState::thaw(&view, rest))).ok()?
+        let mut next = StreamEngine {
+            epochs: std::mem::take(&mut self.epochs),
+            scopes: std::mem::take(&mut self.scopes),
+            net: Arc::clone(&self.net),
+            sessions: std::mem::take(&mut self.sessions),
+            scratch: TickScratch::default(),
+            epoch_log: std::mem::take(&mut self.epoch_log),
+            obs: self.obs.take(),
+            // current, counters, stats, hibernation, tick: copied.
+            ..*self
         };
-        self.epochs[current]
-            .as_mut()
-            .expect("current model epoch is always live")
-            .live_sessions += 1;
-        self.stats.sessions_opened += 1;
-        let last_tick = self.tick;
-        Some(self.sessions.insert(SessionEntry {
-            epoch: self.current,
-            last_tick,
-            state,
-        }))
+        next.sessions.drop_taken();
+        let mut blob = Vec::new();
+        let hot: Vec<SessionId> = next.sessions.iter_hot().map(|(id, _)| id).collect();
+        for id in hot {
+            let sound = catch_unwind(AssertUnwindSafe(|| {
+                let entry = next.sessions.get_mut(id);
+                let view = ModelView::of(
+                    &next.epochs[entry.epoch as usize]
+                        .as_ref()
+                        .expect("model epoch retired while referenced")
+                        .model,
+                    &next.net,
+                );
+                blob.clear();
+                entry.state.freeze(&view, &mut blob);
+                entry.state = SessionState::thaw(&view, &blob);
+            }));
+            if sound.is_err() {
+                next.sessions.remove(id);
+            }
+        }
+        let frozen: Vec<SessionId> = next.sessions.frozen_ids().collect();
+        for id in frozen {
+            if catch_unwind(AssertUnwindSafe(|| next.rehydrate_session(id))).is_err() {
+                next.sessions.take_frozen(id);
+            }
+        }
+        for e in next.epochs.iter_mut().flatten() {
+            e.live_sessions = 0;
+        }
+        let mut kept = Vec::with_capacity(next.sessions.len());
+        for (id, entry) in next.sessions.iter_hot() {
+            kept.push(id);
+            next.epochs[entry.epoch as usize]
+                .as_mut()
+                .expect("a thawed session's epoch is live")
+                .live_sessions += 1;
+        }
+        for id in 0..next.epochs.len() as u32 {
+            if next.epochs[id as usize].is_some() {
+                next.retire_if_idle(id);
+            }
+        }
+        Some((next, kept))
     }
 }
 
@@ -1513,6 +1511,59 @@ mod tests {
         assert_eq!(s.frozen_sessions, 0);
         assert_eq!(s.resident_sessions, 0);
         assert_eq!(s.sessions_rehydrated, 100);
+    }
+
+    /// The torn-round path of crash salvage: a session an aborted round
+    /// left taken is dropped and its now-empty epoch retires, a
+    /// scope-pinned epoch without sessions stays, and every other session
+    /// keeps its handle and labels on as before.
+    #[test]
+    fn successor_drops_torn_sessions_and_keeps_the_control_plane() {
+        let (net, ds, v2) = setup(40);
+        let mut trips = ds.trajectories.iter().filter(|t| t.len() >= 4).take(3);
+        let torn_trip = trips.next().unwrap();
+        let rest: Vec<_> = trips.cloned().collect();
+        let v1 = Arc::new(TrainedModel::clone(&v2));
+        let v1_weak = Arc::downgrade(&v1);
+        let mut engine = StreamEngine::new(v1, Arc::clone(&net));
+        let torn = engine.open(torn_trip.sd_pair().unwrap(), torn_trip.start_time);
+        engine.swap_model(Arc::clone(&v2));
+        let hs: Vec<_> = rest
+            .iter()
+            .map(|t| engine.open(t.sd_pair().unwrap(), t.start_time))
+            .collect();
+        engine.set_scope_model(7, Arc::new(TrainedModel::clone(&v2)));
+        let mut out = Vec::new();
+        let tick = |k: usize| {
+            hs.iter()
+                .zip(&rest)
+                .filter(move |(_, t)| k < t.len())
+                .map(move |(&h, t)| (h, t.segments[k]))
+        };
+        for k in 0..2 {
+            let events: Vec<_> = tick(k).chain([(torn, torn_trip.segments[k])]).collect();
+            engine.observe_batch(&events, &mut out);
+        }
+        let before = engine.stats();
+
+        let _lane = engine.sessions.take(torn); // moved out, never restored
+        let (mut next, kept) = engine.successor().expect("always hands over");
+        drop(engine);
+        assert_eq!(kept, hs, "survivors keep their ids; the torn one goes");
+        assert!(
+            v1_weak.upgrade().is_none(),
+            "the torn session's epoch leaked"
+        );
+        assert_eq!(next.live_model_epochs(), 2, "current + scope-pinned epoch");
+        assert_eq!(next.scope_epoch_seq(7), 2);
+        assert!(Arc::ptr_eq(next.model(), &v2));
+        let counters = |s: EngineStats| (s.sessions_opened, s.observe_events, s.model_swaps);
+        assert_eq!(counters(next.stats()), counters(before));
+        for k in 2..rest.iter().map(|t| t.len()).max().unwrap() {
+            next.observe_batch(&tick(k).collect::<Vec<_>>(), &mut out);
+        }
+        let got: Vec<Vec<u8>> = hs.iter().map(|&h| next.close(h)).collect();
+        assert_eq!(got, sequential_labels(&v2, &net, &rest));
     }
 
     #[test]

@@ -72,13 +72,12 @@ impl IngestEngine {
     /// Every shard worker runs its batch loop under a panic boundary
     /// ([`IngestFrontDoor::build`]). A panicking shard (torn state,
     /// injected fault) is restarted in place: the sessions implicated in
-    /// the aborted batch end with an explicit [`traj::SessionFault`], the
-    /// shard's [`StreamEngine`] is rebuilt over the same model and
-    /// network, and every other session is salvaged across via the
-    /// hibernation codec (byte-identical labels for unaffected sessions;
-    /// property-tested in `tests/faults.rs`). Out-of-range segments are
-    /// poison: they quarantine their own session and never reach the
-    /// engine.
+    /// the aborted batch end with an explicit [`traj::SessionFault`], and
+    /// the shard's [`StreamEngine`] hands over to its successor, which
+    /// keeps every swap, every counter and every other session
+    /// (byte-identical labels; property-tested in `tests/faults.rs`).
+    /// Out-of-range segments are poison: they quarantine their own
+    /// session and never reach the engine.
     ///
     /// # Panics
     /// Panics if `shards == 0`.
@@ -179,9 +178,11 @@ impl IngestEngine {
 /// contract, sessions opened *after* the swap (their `open` is behind the
 /// command in the same queue) run the new weights; sessions already open
 /// drain to completion on the `Arc` of the model they started with, which
-/// each shard engine drops when their last session closes (the
-/// construction model stays referenced by the shard-rebuild factory until
-/// shutdown). Property-tested end-to-end in `tests/hotswap.rs`.
+/// each shard engine drops when their last session closes. A restarted
+/// shard keeps every swap; only a shard whose successor handover itself
+/// panics falls back to the construction model, which its factory keeps
+/// referenced until shutdown. Property-tested end-to-end in
+/// `tests/hotswap.rs` and `tests/faults.rs`.
 pub trait SwapModel {
     /// Broadcasts `model` to every shard; see the trait docs for the
     /// exact semantics. Blocks only for queue space (a partial swap would

@@ -60,7 +60,7 @@ pub enum OpsEvent {
         shard: u32,
         /// Sessions quarantined by this restart (poisoned or unsalvageable).
         quarantined: u64,
-        /// Sessions salvaged into the rebuilt engine.
+        /// Sessions the restarted engine carried over.
         salvaged: u64,
     },
     /// One session was quarantined (terminal `SessionFault`).

@@ -34,8 +34,8 @@ pub enum Stage {
     HibernateSweep,
     /// One `swap_model` application (epoch publish + retire scan).
     SwapApply,
-    /// One supervised-worker recovery: salvage the panicked shard's
-    /// sessions, rebuild the engine, re-import survivors.
+    /// One supervised-worker recovery: quarantine the aborted batch's
+    /// sessions, hand the engine over to its successor.
     RestartSweep,
 }
 

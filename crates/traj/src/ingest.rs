@@ -50,15 +50,15 @@
 //! * **fault tolerance** — every shard worker runs under a supervisor: a
 //!   panic in batch processing quarantines only the sessions implicated
 //!   in the aborted micro-batch (their subscriptions terminate with an
-//!   explicit [`SessionFault`], never a hang), salvages every other
-//!   session on the shard through the engine's
-//!   [`SessionEngine::export_sessions`] / [`SessionEngine::import_session`]
-//!   pair (the hibernate freeze/thaw path for `rl4oasd::StreamEngine`),
-//!   rebuilds the engine from the construction factory and resumes —
-//!   unaffected sessions keep byte-identical labels. Events the engine
-//!   rejects as unprocessable ([`SessionEngine::admit`]) are *poison*:
-//!   they quarantine their session before ever reaching the engine, so
-//!   one malformed trip can never crash a shard. Producers get policy
+//!   explicit [`SessionFault`], never a hang), hands the engine over to
+//!   its [`SessionEngine::successor`] — which keeps the engine's model
+//!   epochs and counters and every sound session under its old handle
+//!   (checked through the hibernate freeze/thaw path for
+//!   `rl4oasd::StreamEngine`) — and resumes: unaffected sessions keep
+//!   byte-identical labels. Events the engine rejects as unprocessable
+//!   ([`SessionEngine::admit`]) are *poison*: they quarantine their
+//!   session before ever reaching the engine, so one malformed trip can
+//!   never crash a shard. Producers get policy
 //!   tools on the handle — bounded [`RetryPolicy`] backoff,
 //!   [`IngestHandle::submit_with_deadline`], and degraded-mode admission
 //!   control that sheds [`Priority::Low`] opens while a shard is
@@ -219,9 +219,9 @@ pub enum SessionFault {
     /// The session's events were in the micro-batch a shard worker
     /// panicked on; its engine state could not be trusted afterwards.
     WorkerCrash,
-    /// The session survived the panic but its state could not be
-    /// exported from the wrecked engine or re-imported into the rebuilt
-    /// one.
+    /// The session survived the panic but the engine's successor could
+    /// not carry its state over (torn state, or an engine with no
+    /// successor, rebuilt from its factory).
     Unsalvageable,
     /// The close targeted a session its shard does not know — a double
     /// close, or a session that was never opened.
@@ -1125,7 +1125,7 @@ struct Route {
 }
 
 /// Builds shard `i`'s engine; kept by every worker to rebuild its engine
-/// after a caught panic.
+/// after a caught panic that the engine's successor cannot take over.
 type ShardFactory<E> = dyn Fn(usize) -> E + Send + Sync;
 
 /// One persistent shard worker: owns its engine and its reused batch
@@ -1139,9 +1139,9 @@ struct Worker<E> {
     shard: usize,
     /// outer raw id → routing state
     routes: HashMap<u64, Route>,
-    /// Sessions terminated with a fault; later events are counted as
-    /// quarantined and closes reply with the fault. Bounded by the number
-    /// of faults, so entries are kept for the worker's lifetime.
+    /// Sessions terminated with a fault and not yet closed: later events
+    /// are counted as quarantined, and the close replies with the fault
+    /// and removes the entry. Bounded by the sessions left open.
     quarantined: HashMap<u64, SessionFault>,
     /// Pending micro-batch, in shard-local handles (fed to the engine).
     batch: Vec<(SessionId, SegmentId)>,
@@ -1173,7 +1173,7 @@ struct WorkerTelemetry {
     batch_compute: StageHandle,
     /// Outbox fan-out of fresh labels.
     label_delivery: StageHandle,
-    /// One shard-worker recovery (salvage + rebuild + re-import).
+    /// One shard-worker recovery (quarantine + successor handover).
     restart_sweep: StageHandle,
     /// submit→label end-to-end latency (mirror of the per-worker
     /// [`LatencyHistogram`] so snapshots and Prometheus scrapes see it).
@@ -1382,10 +1382,10 @@ impl<E: SessionEngine + 'static> Worker<E> {
     /// Terminates a session with `fault`: its consumer gets a
     /// [`SinkEvent::Fault`] (a [`Subscription`] reports it and
     /// disconnects), later events are counted as quarantined,
-    /// a later close replies with the fault. With `close_in_engine` the
+    /// the next close replies with the fault. With `close_in_engine` the
     /// session's (still-consistent) engine state is also released — the
-    /// poison path uses this; panic recovery does not (the wrecked engine
-    /// is discarded wholesale).
+    /// poison path uses this; panic recovery does not (the state may be
+    /// torn, so the successor handover checks it first).
     fn quarantine(&mut self, outer: u64, fault: SessionFault, close_in_engine: bool) {
         let Some(route) = self.routes.remove(&outer) else {
             return;
@@ -1461,7 +1461,9 @@ impl<E: SessionEngine + 'static> Worker<E> {
             }
             Cmd::Close { outer, mut reply } => {
                 reply.armed = true;
-                let result = if let Some(&fault) = self.quarantined.get(&outer) {
+                let result = if let Some(fault) = self.quarantined.remove(&outer) {
+                    // Answered once: the tombstone goes, so a second close
+                    // is `UnknownSession` and later strays are shed.
                     Err(fault)
                 } else if let Some(route) = self.routes.get(&outer) {
                     // The session's pending events must land before the
@@ -1545,8 +1547,8 @@ impl<E: SessionEngine + 'static> Worker<E> {
     }
 
     /// The supervised serve loop: any panic that escapes batch processing
-    /// is caught, the shard recovers in place (quarantine + salvage +
-    /// engine rebuild), and serving resumes — the worker thread never
+    /// is caught, the shard recovers in place (quarantine + successor
+    /// handover), and serving resumes — the worker thread never
     /// dies from an engine panic. The boundary is set up once per
     /// [`serve`](Self::serve) entry, not per batch.
     fn run(mut self, factory: Arc<ShardFactory<E>>) -> WorkerReport<E> {
@@ -1562,12 +1564,14 @@ impl<E: SessionEngine + 'static> Worker<E> {
     /// state behind them cannot be trusted, so every session implicated
     /// in that batch is quarantined ([`SessionFault::WorkerCrash`]).
     /// Every *other* session is salvaged byte-exactly: the wrecked engine
-    /// exports each survivor through the hibernate freeze path, a fresh
-    /// engine from the construction factory re-imports them, and the
-    /// routes are repointed. Sessions the export or import cannot carry
-    /// across are quarantined as [`SessionFault::Unsalvageable`] — never
-    /// silently dropped. Panics injected at a flush boundary (the batch
-    /// is empty there) therefore lose nothing at all.
+    /// hands itself over to its [`SessionEngine::successor`], which keeps
+    /// the engine's control plane and the sessions' handles, so routes
+    /// need no rewriting. Sessions the successor does not carry across
+    /// are quarantined as [`SessionFault::Unsalvageable`] — never
+    /// silently dropped; an engine without a successor (or whose handover
+    /// panics) is rebuilt by `factory` and loses them all. Panics
+    /// injected at a flush boundary (the batch is empty there) therefore
+    /// lose nothing at all on an engine that implements the handover.
     fn recover(&mut self, factory: &ShardFactory<E>) {
         self.health.restarting.store(true, Ordering::SeqCst);
         self.tele.degraded.set(1);
@@ -1594,47 +1598,34 @@ impl<E: SessionEngine + 'static> Worker<E> {
             self.quarantine(outer, SessionFault::WorkerCrash, false);
         }
 
-        // 2. Rebuild the engine and salvage the survivors.
-        let mut wrecked = std::mem::replace(&mut self.engine, (factory)(self.shard));
-        let exported =
-            catch_unwind(AssertUnwindSafe(|| wrecked.export_sessions())).unwrap_or_default();
-        drop(wrecked);
-        let by_inner: HashMap<SessionId, u64> = self
-            .routes
-            .iter()
-            .map(|(&outer, route)| (route.inner, outer))
-            .collect();
-        let mut recovered: HashSet<u64> = HashSet::new();
-        let mut salvaged = 0u64;
-        for (old_inner, blob) in exported {
-            let Some(&outer) = by_inner.get(&old_inner) else {
-                continue; // exported state nobody routes to any more
-            };
-            let imported = catch_unwind(AssertUnwindSafe(|| self.engine.import_session(&blob)))
-                .ok()
-                .flatten();
-            match imported {
-                Some(new_inner) => {
-                    if let Some(route) = self.routes.get_mut(&outer) {
-                        route.inner = new_inner;
-                    }
-                    recovered.insert(outer);
-                    salvaged += 1;
+        // 2. Hand the engine over to its successor (or, failing that,
+        // rebuild it); routed sessions it did not carry are quarantined
+        // explicitly, never left to hang.
+        let mut kept: HashSet<SessionId> =
+            match catch_unwind(AssertUnwindSafe(|| self.engine.successor())) {
+                Ok(Some((next, kept))) => {
+                    self.engine = next;
+                    kept.into_iter().collect()
                 }
-                None => self.quarantine(outer, SessionFault::Unsalvageable, false),
-            }
-        }
-
-        // 3. Routed sessions the export skipped are unsalvageable too —
-        // quarantined explicitly, never left to hang.
+                _ => {
+                    self.engine = factory(self.shard);
+                    HashSet::new()
+                }
+            };
         let lost: Vec<u64> = self
             .routes
-            .keys()
-            .filter(|outer| !recovered.contains(outer))
-            .copied()
+            .iter()
+            .filter(|(_, route)| !kept.remove(&route.inner))
+            .map(|(&outer, _)| outer)
             .collect();
+        let salvaged = (self.routes.len() - lost.len()) as u64;
         for outer in lost {
             self.quarantine(outer, SessionFault::Unsalvageable, false);
+        }
+        // What is left is sound state no route reaches any more: sessions
+        // of the aborted batch, already quarantined in step 1.
+        for inner in kept {
+            let _ = catch_unwind(AssertUnwindSafe(|| self.engine.close(inner)));
         }
 
         self.health.restarts.fetch_add(1, Ordering::Relaxed);
@@ -1672,15 +1663,13 @@ impl<E: SessionEngine + Send + 'static> IngestFrontDoor<E> {
     ///
     /// Every worker runs under a supervisor: a panic in batch processing
     /// is caught, the sessions implicated in the aborted micro-batch are
-    /// quarantined with an explicit [`SessionFault`], every other session
-    /// on the shard is salvaged byte-exactly into a fresh engine built by
-    /// `factory` ([`SessionEngine::export_sessions`] /
-    /// [`SessionEngine::import_session`]; an engine that keeps the
-    /// defaults salvages nothing, so its sessions end
-    /// [`SessionFault::Unsalvageable`]), and serving resumes. `factory` is
-    /// retained for the door's lifetime — it must produce an engine
-    /// equivalent to shard `i`'s original one (same model weights, same
-    /// network), or salvaged sessions would relabel differently.
+    /// quarantined with an explicit [`SessionFault`], the engine hands
+    /// itself over to its [`SessionEngine::successor`] with every other
+    /// session salvaged byte-exactly, and serving resumes. `factory` only
+    /// constructs: it is retained for the door's lifetime as the fallback
+    /// for an engine that has no successor (the default) or whose
+    /// handover panics — that shard restarts from `factory(i)`, and its
+    /// sessions end [`SessionFault::Unsalvageable`].
     ///
     /// Poison events ([`SessionEngine::admit`] returning `false`) never
     /// reach the engine at all: they quarantine their own session without
@@ -2307,9 +2296,12 @@ mod tests {
         assert_eq!(a.max(), Duration::from_micros(1000));
     }
 
-    /// Parity labels with a poison segment (`u32::MAX`) and full
-    /// export/import support — the miniature of a salvageable
-    /// `StreamEngine` shard for fault tests.
+    /// An admitted segment on which [`Fragile`] panics mid-batch.
+    const CRASH: SegmentId = SegmentId(u32::MAX - 1);
+
+    /// Parity labels with a poison segment (`u32::MAX`), a crash segment
+    /// ([`CRASH`]) and a successor that moves its slab across — the
+    /// miniature of a salvageable `StreamEngine` shard for fault tests.
     struct Fragile {
         sessions: crate::SessionSlab<Vec<u8>>,
     }
@@ -2330,6 +2322,7 @@ mod tests {
             self.sessions.insert(Vec::new())
         }
         fn observe(&mut self, session: SessionId, segment: SegmentId) -> u8 {
+            assert_ne!(segment, CRASH, "{}: crash segment", FAULT_INJECTION_MARKER);
             let label = (segment.0 & 1) as u8;
             self.sessions.get_mut(session).push(label);
             label
@@ -2343,14 +2336,10 @@ mod tests {
         fn admit(&self, segment: SegmentId) -> bool {
             segment.0 != u32::MAX
         }
-        fn export_sessions(&mut self) -> Vec<(SessionId, Vec<u8>)> {
-            self.sessions
-                .iter_hot()
-                .map(|(id, history)| (id, history.clone()))
-                .collect()
-        }
-        fn import_session(&mut self, blob: &[u8]) -> Option<SessionId> {
-            Some(self.sessions.insert(blob.to_vec()))
+        fn successor(&mut self) -> Option<(Self, Vec<SessionId>)> {
+            let kept = self.sessions.iter_hot().map(|(id, _)| id).collect();
+            let sessions = std::mem::take(&mut self.sessions);
+            Some((Fragile { sessions }, kept))
         }
     }
 
@@ -2419,6 +2408,11 @@ mod tests {
             handle.close(a).unwrap().wait(),
             Err(SessionFault::PoisonEvent)
         );
+        // The fault is answered once: a second close finds no session.
+        assert_eq!(
+            handle.close(a).unwrap().wait(),
+            Err(SessionFault::UnknownSession)
+        );
         assert_eq!(handle.close(b).unwrap().wait().unwrap(), vec![1, 1]);
         assert_eq!(sub_a.fault(), Some(SessionFault::PoisonEvent));
         assert_eq!(sub_b.fault(), None);
@@ -2436,39 +2430,46 @@ mod tests {
         assert_exact_accounting(&report.stats);
     }
 
+    /// A panic at a flush boundary loses nothing; one inside a batch costs
+    /// that batch's session only, and the successor closes its leftover
+    /// state instead of carrying it.
     #[test]
     fn injected_panic_restarts_worker_and_salvages_sessions() {
         silence_injected_panic_output();
-        let door = fragile_door(1, IngestConfig::default());
+        let config = IngestConfig {
+            flush: FlushPolicy::immediate(),
+            ..Default::default()
+        };
+        let door = fragile_door(1, config);
         let handle = door.handle();
         let (a, _sub_a) = handle.open(sd(0, 9), 0.0).unwrap();
         let (b, _sub_b) = handle.open(sd(1, 8), 0.0).unwrap();
+        let (c, _sub_c) = handle.open(sd(2, 7), 0.0).unwrap();
         handle.submit(a, SegmentId(1)).unwrap();
         handle.submit(b, SegmentId(2)).unwrap();
-        // Panic at the flush boundary: the pending batch is labelled
-        // first, so the salvage is total.
         handle
             .control(|_engine: &mut Fragile| panic!("{}: worker panic", FAULT_INJECTION_MARKER))
             .unwrap();
         handle.submit(a, SegmentId(3)).unwrap();
+        handle.submit(c, CRASH).unwrap(); // panics inside its own batch
         handle.submit(b, SegmentId(4)).unwrap();
         assert_eq!(handle.close(a).unwrap().wait().unwrap(), vec![1, 1]);
         assert_eq!(handle.close(b).unwrap().wait().unwrap(), vec![0, 0]);
-        assert_eq!(handle.worker_restarts(), 1);
+        let crashed = handle.close(c).unwrap().wait();
+        assert_eq!(crashed, Err(SessionFault::WorkerCrash));
+        assert_eq!(handle.worker_restarts(), 2);
         let report = door.shutdown();
-        assert_eq!(report.stats.worker_restarts, 1);
-        assert_eq!(
-            report.stats.quarantined_sessions, 0,
-            "flush-boundary salvage is total"
-        );
+        assert_eq!(report.stats.worker_restarts, 2);
+        assert_eq!(report.stats.quarantined_sessions, 1, "only c is lost");
         assert_eq!(report.stats.flushed_events, 4);
+        assert_eq!(report.engines[0].active_sessions(), 0);
         assert_exact_accounting(&report.stats);
     }
 
-    /// An engine that keeps the default (empty) salvage hooks still
+    /// An engine that keeps the default (no) successor still
     /// survives a panic: the worker restarts once, every session it held
     /// ends with an explicit `Unsalvageable` fault instead of a hang, and
-    /// sessions opened afterwards are served by the rebuilt engine.
+    /// sessions opened afterwards are served by the factory-built engine.
     #[test]
     fn panic_without_salvage_quarantines_as_unsalvageable_and_serves_on() {
         silence_injected_panic_output();

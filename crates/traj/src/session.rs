@@ -139,35 +139,30 @@ pub trait SessionEngine {
     /// Number of currently open sessions.
     fn active_sessions(&self) -> usize;
 
-    /// Crash salvage, first half: exports every open session as
-    /// `(handle, blob)` pairs, emptying the engine. The ingest door's
-    /// shard workers call it on the wrecked engine after a panic, then
-    /// re-import the blobs into a fresh engine from the same factory
-    /// ([`SessionEngine::import_session`]), so every session not
-    /// implicated in the fault keeps byte-identical labels.
-    /// Implementations typically reuse their [`Hibernate`] freeze format.
+    /// Crash salvage: hands this engine over to a sound successor. The
+    /// ingest door's shard workers call it on the wrecked engine after a
+    /// panic and serve on with the engine it returns, together with the
+    /// handles of the sessions it carried over — under the **same**
+    /// [`SessionId`]s, so every session not implicated in the fault keeps
+    /// byte-identical labels. Everything that is not per-session state
+    /// (model epochs, counters, configuration) should move across too, so
+    /// a restart rolls nothing back. Implementations typically check each
+    /// session through their [`Hibernate`] freeze/thaw round trip.
     ///
     /// **Must not panic**, even on an engine whose last batch panicked
-    /// mid-flight: wrap per-session encoding in `catch_unwind` and skip
-    /// sessions whose state is unserialisable — the caller quarantines
-    /// every session it does not get back. The default salvages
-    /// nothing, so after a panic every session on that shard ends with
+    /// mid-flight: wrap per-session checks in `catch_unwind` and leave
+    /// out sessions whose state is torn — the caller quarantines every
+    /// session missing from the returned list. The default, `None`,
+    /// salvages nothing: the caller rebuilds the engine from its factory
+    /// and every session on that shard ends with
     /// `SessionFault::Unsalvageable`.
     ///
-    /// [`Sharded`] and `rl4oasd::ShardedEngine` do not forward this
-    /// pair: they are synchronous reference drivers and never run behind
-    /// a door.
-    fn export_sessions(&mut self) -> Vec<(SessionId, Vec<u8>)> {
-        Vec::new()
-    }
-
-    /// Crash salvage, second half: imports one exported blob into this
-    /// (fresh) engine, returning its new handle — or `None` when the blob
-    /// cannot be represented here (e.g. it is pinned to a model epoch
-    /// this engine does not have); the caller quarantines such sessions.
-    /// Default: `None`.
-    fn import_session(&mut self, blob: &[u8]) -> Option<SessionId> {
-        let _ = blob;
+    /// [`Sharded`] and `rl4oasd::ShardedEngine` do not forward this: they
+    /// are synchronous reference drivers and never run behind a door.
+    fn successor(&mut self) -> Option<(Self, Vec<SessionId>)>
+    where
+        Self: Sized,
+    {
         None
     }
 }
@@ -493,9 +488,8 @@ impl<T> SessionSlab<T> {
     }
 
     /// Iterates over the **frozen** (hibernated) sessions' handles — the
-    /// salvage surface for shard-worker crash recovery, which freezes every
-    /// exportable session and then lifts the blobs out with
-    /// [`SessionSlab::take_frozen`].
+    /// salvage surface for shard-worker crash recovery, which thaws each
+    /// one and discards those that fail with [`SessionSlab::take_frozen`].
     pub fn frozen_ids(&self) -> impl Iterator<Item = SessionId> + '_ {
         self.slots.iter().enumerate().filter_map(|(index, slot)| {
             if matches!(slot.value, Tier::Cold(_)) {
@@ -527,6 +521,21 @@ impl<T> SessionSlab<T> {
         self.active -= 1;
         self.maybe_shrink();
         blob
+    }
+
+    /// Vacates every slot still [`SessionSlab::take`]n and never
+    /// restored — values a panic unwound away mid-batch — invalidating
+    /// their handles (crash salvage).
+    pub fn drop_taken(&mut self) {
+        for (index, slot) in self.slots.iter_mut().enumerate() {
+            if matches!(slot.value, Tier::Taken) {
+                slot.value = Tier::Vacant;
+                slot.generation = slot.generation.wrapping_add(1);
+                self.free.push(index as u32);
+                self.active -= 1;
+            }
+        }
+        self.maybe_shrink();
     }
 
     /// Iterates over the **hot** sessions (not frozen, not taken) with

@@ -9,7 +9,9 @@
 //! * faulted sessions terminate with an **explicit** [`SessionFault`] —
 //!   a close ticket never hangs and never panics the caller;
 //! * accounting is exact: every accepted event is flushed, shed or
-//!   charged to a quarantined session — nothing vanishes silently.
+//!   charged to a quarantined session — nothing vanishes silently;
+//! * a restarted shard keeps its engine's control plane: every hot swap
+//!   and scoped swap survives, and so do the engine's counters.
 //!
 //! Run in CI's release job too, so the catch_unwind/restart path is
 //! exercised with optimisations on.
@@ -357,4 +359,181 @@ fn handle_edge_faults_resolve_explicitly() {
     assert_eq!(report.ingest.submitted, 2);
     assert_eq!(report.ingest.flushed_events, 1);
     assert_eq!(report.ingest.shed_events, 1);
+}
+
+/// The swap drill's models and trips: v1 serves from construction, v2 is
+/// swapped in for every scope, v3 for scope 7 only; one trip per model.
+struct SwapDrill {
+    models: [Arc<TrainedModel>; 3],
+    trips: Vec<MappedTrajectory>,
+}
+
+fn swap_drill() -> &'static SwapDrill {
+    static DRILL: OnceLock<SwapDrill> = OnceLock::new();
+    DRILL.get_or_init(|| {
+        let fx = fixture();
+        let train = |seed| Arc::new(fx.world.train(&Rl4oasdConfig::tiny(seed)));
+        let data = TrafficSimulator::new(&fx.world.net, fx.world.traffic.clone()).generate();
+        let trips = Dataset::from_generated(&data)
+            .trajectories
+            .into_iter()
+            .filter(|t| t.len() >= 4)
+            .take(3)
+            .collect();
+        SwapDrill {
+            models: [Arc::clone(&fx.model), train(0xFA_0002), train(0xFA_0003)],
+            trips,
+        }
+    })
+}
+
+/// What one run of the swap drill saw: final labels per trip, each
+/// shard's `(serves v2, scope 7's epoch seq)` read by a control at the
+/// end, and the engine's report.
+struct SwapDrillRun {
+    labels: Vec<Vec<u8>>,
+    seen: Vec<(bool, u32)>,
+    report: IngestReport,
+}
+
+/// Opens trip 0 on v1, swaps in v2 and opens trip 1, swaps v3 into
+/// scope 7 and opens trip 2 there (the two swaps in the other order with
+/// `scoped_first`), feeding each trip half-way as it opens; then feeds
+/// the rest and closes all three. A panic is injected through `control`
+/// before step `panic_at` of those seven.
+fn run_swap_drill(shards: usize, scoped_first: bool, panic_at: Option<usize>) -> SwapDrillRun {
+    let drill = swap_drill();
+    let [v1, v2, v3] = &drill.models;
+    let engine = IngestEngine::new(
+        Arc::clone(v1),
+        Arc::clone(&fixture().world.net),
+        shards,
+        IngestConfig::default(),
+    );
+    let handle = engine.handle();
+    let half = |t: &MappedTrajectory| t.len() / 2;
+    let feed = |session, segments: &[SegmentId]| {
+        for &segment in segments {
+            handle
+                .submit_blocking(session, segment)
+                .expect("submit accepted");
+        }
+    };
+    let open = |k: usize| {
+        let t = &drill.trips[k];
+        let scope = if k == 2 { 7 } else { 0 };
+        let (session, sub) = handle
+            .open_scoped(scope, t.sd_pair().unwrap(), t.start_time, Priority::High)
+            .expect("open accepted");
+        feed(session, &t.segments[..half(t)]);
+        (k, session, sub)
+    };
+    let swap = |k: usize| {
+        if k == 1 {
+            handle.swap_model(Arc::clone(v2))
+        } else {
+            handle.swap_scope_model(7, Arc::clone(v3))
+        }
+        .expect("swap accepted")
+    };
+    let (first, second) = if scoped_first { (2, 1) } else { (1, 2) };
+    let mut sessions = Vec::new();
+    for step in 0..7 {
+        if panic_at == Some(step) {
+            handle
+                .control(|_: &mut StreamEngine| {
+                    panic!("{FAULT_INJECTION_MARKER}: injected worker panic")
+                })
+                .expect("panic injection accepted");
+        }
+        match step {
+            0 => sessions.push(open(0)),
+            1 => swap(first),
+            2 => sessions.push(open(first)),
+            3 => swap(second),
+            4 => sessions.push(open(second)),
+            5 => {
+                for (k, session, _) in &sessions {
+                    let t = &drill.trips[*k];
+                    feed(*session, &t.segments[half(t)..]);
+                }
+            }
+            _ => {}
+        }
+    }
+    let (tx, rx) = std::sync::mpsc::channel();
+    let probe = Arc::clone(v2);
+    handle
+        .control(move |engine: &mut StreamEngine| {
+            let seen = (
+                Arc::ptr_eq(engine.model(), &probe),
+                engine.scope_epoch_seq(7),
+            );
+            tx.send(seen).expect("drill is listening");
+        })
+        .expect("probe accepted");
+    let seen = rx.iter().take(shards).collect();
+    sessions.sort_by_key(|&(k, _, _)| k);
+    let labels = sessions
+        .iter()
+        .map(|&(_, session, _)| {
+            let ticket = handle.close(session).expect("close accepted");
+            ticket.wait().expect("every drill session is salvaged")
+        })
+        .collect();
+    SwapDrillRun {
+        labels,
+        seen,
+        report: engine.shutdown(),
+    }
+}
+
+/// Invariant 15 for swaps: wherever a worker panic lands in a swap
+/// schedule, the restarted shards still serve v2 and scope 7's v3, every
+/// trip's labels equal the panic-free run's, and the report conserves
+/// the engine's counters across the restart.
+fn assert_swaps_survive_restart(shards: usize, scoped_first: bool, panic_at: usize) {
+    let clean = run_swap_drill(shards, scoped_first, None);
+    let run = run_swap_drill(shards, scoped_first, Some(panic_at));
+    let case =
+        format!("shards {shards}, scoped_first {scoped_first}, panic before step {panic_at}");
+    assert_eq!(run.labels, clean.labels, "{case}: labels changed");
+    let scope_seq = if scoped_first { 1 } else { 2 };
+    for &(serves_v2, seq) in &run.seen {
+        assert!(serves_v2, "{case}: a restarted shard rolled back to v1");
+        assert_eq!(seq, scope_seq, "{case}: scope 7 lost its model");
+    }
+    let report = &run.report;
+    assert_eq!(report.ingest.worker_restarts, shards as u64, "{case}");
+    assert_eq!(report.ingest.quarantined_sessions, 0, "{case}");
+    assert_eq!(report.engine.sessions_opened, 3, "{case}");
+    assert_eq!(report.engine.model_swaps, 2 * shards as u64, "{case}");
+    assert_eq!(report.epoch_stats.len(), 3, "{case}");
+    assert_eq!(
+        report.engine.observe_events, report.ingest.flushed_events,
+        "{case}: observe counts lost in the restart"
+    );
+    assert_eq!(report.engine, clean.report.engine, "{case}");
+}
+
+/// ROADMAP 28's drill: one shard, v2 swapped in and v3 scoped to 7, one
+/// half-fed trip on each, then a worker panic at the flush boundary.
+#[test]
+fn a_restarted_shard_keeps_its_swaps_and_counters() {
+    assert_swaps_survive_restart(1, false, 5);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// The same drill at 1, 2 and 8 shards, with the two swaps in either
+    /// order and the panic anywhere in the schedule.
+    #[test]
+    fn swaps_survive_a_restart_anywhere_in_the_schedule(
+        shard_ix in 0usize..3,
+        scoped_first in 0u8..2,
+        panic_at in 0usize..7,
+    ) {
+        assert_swaps_survive_restart([1, 2, 8][shard_ix], scoped_first == 1, panic_at);
+    }
 }
