@@ -212,11 +212,10 @@ impl SessionState {
     }
 
     /// Estimated heap bytes held by this session while resident (stream
-    /// vectors + label buffer), for the engine's per-tier memory gauges.
+    /// vectors: `hidden_dim` int8 `h` plus `hidden_dim` f32 `c`; and the
+    /// label buffer), for the engine's per-tier memory gauges.
     pub fn resident_heap_bytes(&self) -> usize {
-        let state = self.stream.state();
-        (state.h.capacity() + state.c.capacity()) * std::mem::size_of::<f32>()
-            + self.labels.capacity()
+        self.stream.heap_bytes() + self.labels.capacity()
     }
 
     /// Finalises the session: destination pinning plus Delayed Labeling.
@@ -242,10 +241,12 @@ impl SessionState {
 /// contract of [`Hibernate`] is what makes hibernation invisible to
 /// labels (property-tested in `tests/hibernate.rs`):
 ///
-/// * LSTM `h`/`c` vectors are XOR-delta-encoded bit-for-bit against the
-///   model's initial stream state ([`RsrNet::stream`] — all zeros today,
-///   so the delta is the identity on the bit pattern, but the encoding
-///   stays exact for any initial state);
+/// * the quantised hidden state `h` is written as its `hidden_dim` raw
+///   bytes;
+/// * the `f32` cell state `c` is XOR-delta-encoded bit-for-bit against
+///   the model's initial stream state ([`RsrNet::stream`] — all zeros
+///   today, so the delta is the identity on the bit pattern, but the
+///   encoding stays exact for any initial state);
 /// * the provisional label buffer is run-length packed (binary labels,
 ///   alternating runs) — the dominant saving for long trips, where the
 ///   hot buffer is one byte per observed segment;
@@ -261,10 +262,9 @@ impl Hibernate<ModelView<'_>> for SessionState {
         out.push(self.prev_label);
         put_runs(out, &self.labels);
         let init = ctx.rsrnet.stream();
-        let (init, state) = (init.state(), self.stream.state());
-        put_varint(out, state.h.len() as u64);
-        put_f32_delta(out, &state.h, &init.h);
-        put_f32_delta(out, &state.c, &init.c);
+        put_varint(out, self.stream.h().len() as u64);
+        out.extend(self.stream.h().iter().map(|&q| q as u8));
+        put_f32_delta(out, self.stream.c(), init.c());
     }
 
     fn thaw(ctx: &ModelView, bytes: &[u8]) -> Self {
@@ -284,21 +284,22 @@ impl Hibernate<ModelView<'_>> for SessionState {
         cursor = rest;
         let mut labels = Vec::new();
         get_runs(&mut cursor, &mut labels);
-        let init_stream = ctx.rsrnet.stream();
-        let init = init_stream.state();
+        let init = ctx.rsrnet.stream();
         let hidden = get_varint(&mut cursor) as usize;
         assert_eq!(
             hidden,
-            init.h.len(),
+            init.c().len(),
             "frozen session hidden_dim does not match its model epoch"
         );
-        let mut h = Vec::new();
-        let mut c = Vec::new();
-        get_f32_delta(&mut cursor, &init.h, &mut h);
-        get_f32_delta(&mut cursor, &init.c, &mut c);
+        assert!(cursor.len() >= hidden, "truncated frozen hidden state");
+        let (h, rest) = cursor.split_at(hidden);
+        cursor = rest;
+        let h = h.iter().map(|&b| b as i8).collect();
+        let mut c = Vec::with_capacity(hidden);
+        get_f32_delta(&mut cursor, init.c(), &mut c);
         assert!(cursor.is_empty(), "trailing bytes in frozen session");
         SessionState {
-            stream: RsrStream::from_state(nn::LstmState { h, c }),
+            stream: RsrStream::from_parts(h, c),
             sd,
             slot,
             prev_seg,

@@ -1511,6 +1511,32 @@ mod tests {
         assert_eq!(s.frozen_sessions, 0);
         assert_eq!(s.resident_sessions, 0);
         assert_eq!(s.sessions_rehydrated, 100);
+        assert_eq!(s.frozen_bytes, 0);
+        assert_eq!(
+            s.frozen_footprint_bytes, 0,
+            "a drained cold tier kept its arena"
+        );
+    }
+
+    /// A resident session's heap is its int8 `h` (`H` bytes) and f32 `c`
+    /// (`4H`): `3H` bytes less than the two f32 vectors it replaced.
+    #[test]
+    fn resident_bytes_count_an_int8_hidden_state() {
+        let (net, _, model) = setup(39);
+        let hidden = model.config.hidden_dim;
+        let mut engine = StreamEngine::new(model, net);
+        let sd = SdPair {
+            source: SegmentId(0),
+            dest: SegmentId(1),
+        };
+        let n = 64;
+        for i in 0..n {
+            engine.open(sd, i as f64);
+        }
+        let s = engine.stats();
+        let per_session = (s.resident_bytes as usize - engine.sessions.slot_overhead_bytes()) / n;
+        let entry = std::mem::size_of::<SessionEntry>();
+        assert_eq!(per_session, entry + hidden + 4 * hidden);
     }
 
     /// The torn-round path of crash salvage: a session an aborted round

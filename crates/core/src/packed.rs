@@ -14,25 +14,32 @@
 //! embedding bypasses the LSTM), so the input half of every gate
 //! pre-activation, `u = W_x·embed[seg] + b`, is a function of the segment
 //! id. The packed model tabulates it: one `4H` row per segment, built
-//! with [`nn::PackedLstm::input_gates`]. A streaming step then reads that
-//! row and `W_h`, never `W_x` or the embedding.
+//! with [`nn::PackedLstm::input_gates`] in `f32`. A streaming step then
+//! reads that row and the int8 `W_h` ([`nn::PackedLstmI8`]), never `W_x`
+//! or the embedding, and keeps its hidden state as int8 at scale 1/127
+//! (the integer gate of `nn::ops::kernels`).
 //!
-//! Packing changes the memory layout and where the input half is
-//! computed, never the values or the kernel reduction order: packed
-//! inference is bit-identical to the training forward, which is what
+//! The table and both heads are bit-identical to the training forward.
+//! The recurrent gate is not: it is quantised, a post-training transform
+//! (training, the model JSON and the weights stay `f32`). Every serving
+//! path — scalar, batched, sharded, ingest-driven, hibernated — runs the
+//! same integer gate, whose sums are exact in any order, which is what
 //! keeps the repo's batched-vs-scalar, shard-invariance and
 //! ingest-vs-sync byte-identity guarantees intact.
 
 use crate::asdnet::AsdNet;
 use crate::rsrnet::RsrNet;
-use nn::{PackedLinear, PackedLstm};
+use nn::{PackedLinear, PackedLstm, PackedLstmI8};
 use rnet::SegmentId;
 
 /// The packed hot-path weights of one trained model.
 #[derive(Debug, Clone)]
 pub struct PackedModel {
-    /// RSRNet's LSTM, packed (`W_x` and `W_h` separately).
+    /// RSRNet's LSTM, packed in `f32` (`W_x` and `W_h` separately): the
+    /// reference form, which builds the input-gate table.
     pub lstm: PackedLstm,
+    /// RSRNet's LSTM serving step: `W_h` in int8.
+    pub lstm_i8: PackedLstmI8,
     /// RSRNet's classification head (the "w/o ASDNet" ablation path).
     pub head: PackedLinear,
     /// ASDNet's policy head.
@@ -42,8 +49,8 @@ pub struct PackedModel {
 }
 
 impl PackedModel {
-    /// Packs the hot-path weights of a trained network pair and builds
-    /// the per-segment input-gate table.
+    /// Packs the hot-path weights of a trained network pair, builds the
+    /// per-segment input-gate table and quantises `W_h`.
     pub fn of(rsrnet: &RsrNet, asdnet: &AsdNet) -> Self {
         let lstm = PackedLstm::of(&rsrnet.lstm);
         let gates = 4 * lstm.hidden_dim();
@@ -52,6 +59,7 @@ impl PackedModel {
             lstm.input_gates(rsrnet.embed.lookup(s), row);
         }
         PackedModel {
+            lstm_i8: PackedLstmI8::of(&lstm),
             lstm,
             head: PackedLinear::of(&rsrnet.head),
             policy: PackedLinear::of(&asdnet.policy),
@@ -93,12 +101,21 @@ mod tests {
             packed.lstm.input_gates(x, &mut u);
             let row = packed.input_gates(SegmentId(s as u32));
             assert_eq!(row, &u[..], "segment {s}");
-            // and the row drives the same step as the raw cell
-            let mut got = state.clone();
+            // From the zero state the integer gate is exactly zero, so the
+            // serving step's first state is the training forward's, with
+            // `h` quantised.
+            let want = rsrnet.lstm.forward(x, &state).0;
+            let (mut c, mut h) = (vec![0.0; cfg.hidden_dim], vec![0i8; cfg.hidden_dim]);
             packed
-                .lstm
-                .infer_step_from(row, &mut got, &mut Default::default());
-            assert_eq!(got, rsrnet.lstm.forward(x, &state).0, "segment {s}");
+                .lstm_i8
+                .step(row, &mut c, &mut h, &mut Default::default());
+            assert_eq!(c, want.c, "segment {s}");
+            let want_h: Vec<i8> = want
+                .h
+                .iter()
+                .map(|&v| nn::ops::kernels::quantize_h(v))
+                .collect();
+            assert_eq!(h, want_h, "segment {s}");
         }
     }
 }

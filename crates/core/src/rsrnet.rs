@@ -61,24 +61,46 @@ pub struct RsrForward {
 }
 
 /// Streaming state for online inference (one LSTM step per observed
-/// segment; no gradient bookkeeping).
+/// segment; no gradient bookkeeping): the hidden state quantised to int8
+/// at scale 1/127 — the only form serving ever stores — and the `f32`
+/// cell state. `5·hidden_dim` bytes of vectors (320 B at hidden 64).
 #[derive(Debug, Clone)]
 pub struct RsrStream {
-    state: LstmState,
+    h: Vec<i8>,
+    c: Vec<f32>,
 }
 
 impl RsrStream {
-    /// The LSTM state vectors (session hibernation encodes these).
-    pub(crate) fn state(&self) -> &LstmState {
-        &self.state
+    /// The quantised hidden state (session hibernation encodes it).
+    pub(crate) fn h(&self) -> &[i8] {
+        &self.h
+    }
+
+    /// The cell state (session hibernation encodes it).
+    pub(crate) fn c(&self) -> &[f32] {
+        &self.c
     }
 
     /// Rebuilds a stream from explicit state vectors (session thaw). The
     /// caller guarantees the vectors came from a stream of the same
     /// `hidden_dim`.
-    pub(crate) fn from_state(state: LstmState) -> Self {
-        RsrStream { state }
+    pub(crate) fn from_parts(h: Vec<i8>, c: Vec<f32>) -> Self {
+        debug_assert_eq!(h.len(), c.len());
+        RsrStream { h, c }
     }
+
+    /// Heap bytes of the state vectors.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.h.capacity() + self.c.capacity() * std::mem::size_of::<f32>()
+    }
+}
+
+/// Appends `z = [q_h / 127 ; nrf]`: the representation the heads read,
+/// the same expression in every path.
+#[inline]
+fn push_z(z: &mut Vec<f32>, h: &[i8], nrf: &[f32]) {
+    z.extend(h.iter().map(|&q| f32::from(q) / nn::ops::kernels::H_SCALE));
+    z.extend_from_slice(nrf);
 }
 
 /// Reusable gather/scatter buffers for [`RsrNet::stream_step_batch`], so a
@@ -86,7 +108,7 @@ impl RsrStream {
 #[derive(Debug, Default)]
 pub struct RsrBatch {
     c: Vec<f32>,
-    h: Vec<f32>,
+    h: Vec<i8>,
     z: Vec<f32>,
 }
 
@@ -259,17 +281,21 @@ impl RsrNet {
 
     /// Opens a streaming pass (online detection).
     pub fn stream(&self) -> RsrStream {
+        let hidden = self.lstm.hidden_dim();
         RsrStream {
-            state: LstmState::zeros(self.lstm.hidden_dim()),
+            h: vec![0; hidden],
+            c: vec![0.0; hidden],
         }
     }
 
     /// One streaming step on packed weights, allocation-free: consumes a
     /// segment and its NRF, advances the LSTM from the segment's row of
-    /// `packed`'s input-gate table (`packed` is the packed form of
-    /// `self`) with reusable scratch, and writes `z_i` into `z`.
-    /// Bit-identical to [`RsrNet::forward`]'s `z_i`: the table row holds
-    /// the same input half of the gates the training forward computes.
+    /// `packed`'s input-gate table through the integer gate (`packed` is
+    /// the packed form of `self`) with reusable scratch, and writes
+    /// `z_i = [q_h / 127 ; nrf]` into `z`. The quantised counterpart of
+    /// [`RsrNet::forward`]'s `z_i`: the table row holds the input half of
+    /// the gates the training forward computes, the recurrent half is the
+    /// int8 `W_h·h`.
     pub fn stream_step(
         &self,
         packed: &PackedModel,
@@ -279,26 +305,27 @@ impl RsrNet {
         scratch: &mut LstmScratch,
         z: &mut Vec<f32>,
     ) {
-        packed
-            .lstm
-            .infer_step_from(packed.input_gates(seg), &mut stream.state, scratch);
+        packed.lstm_i8.step(
+            packed.input_gates(seg),
+            &mut stream.c,
+            &mut stream.h,
+            scratch,
+        );
         z.clear();
-        z.extend_from_slice(&stream.state.h);
-        z.extend_from_slice(self.nrf_embed.lookup(nrf as usize));
+        push_z(z, &stream.h, self.nrf_embed.lookup(nrf as usize));
     }
 
     /// Batched streaming step: advances `inputs.len()` independent streams
-    /// in one pass over `packed`'s recurrent gate matrix, each lane reading
-    /// its segment's input-gate row in place, and writes each lane's `z_i`
+    /// in one pass of the integer gate kernel, each lane reading its
+    /// segment's input-gate row in place, and writes each lane's `z_i`
     /// into the flat `batch × z_dim` row-major `zs` buffer (cleared first;
     /// lane `i`'s representation is `zs[i*z_dim..(i+1)*z_dim]`). Only the
     /// lanes' `(h, c)` are gathered, and the flat layout keeps the serving
     /// hot path allocation-free once buffers are warm.
     ///
     /// Per-lane results are **bit-identical** to [`RsrNet::stream_step`] —
-    /// the batched LSTM kernel uses the same accumulation order — so a
-    /// serving engine can mix scalar and batched ticks freely without
-    /// changing labels.
+    /// integer sums are exact in any blocking — so a serving engine can
+    /// mix scalar and batched ticks freely without changing labels.
     ///
     /// # Panics
     /// Panics if `inputs` and `streams` have different lengths.
@@ -315,10 +342,10 @@ impl RsrNet {
         scratch.h.clear();
         scratch.c.clear();
         for stream in streams.iter() {
-            scratch.h.extend_from_slice(&stream.state.h);
-            scratch.c.extend_from_slice(&stream.state.c);
+            scratch.h.extend_from_slice(&stream.h);
+            scratch.c.extend_from_slice(&stream.c);
         }
-        packed.lstm.infer_step_from_batch(
+        packed.lstm_i8.step_batch(
             inputs.len(),
             |lane| packed.input_gates(inputs[lane].0),
             &mut scratch.c,
@@ -328,13 +355,11 @@ impl RsrNet {
         zs.clear();
         for (lane, (&(_, nrf), stream)) in inputs.iter().zip(streams.iter_mut()).enumerate() {
             let h = &scratch.h[lane * hidden..(lane + 1) * hidden];
-            stream.state.h.copy_from_slice(h);
+            stream.h.copy_from_slice(h);
             stream
-                .state
                 .c
                 .copy_from_slice(&scratch.c[lane * hidden..(lane + 1) * hidden]);
-            zs.extend_from_slice(h);
-            zs.extend_from_slice(self.nrf_embed.lookup(nrf as usize));
+            push_z(zs, h, self.nrf_embed.lookup(nrf as usize));
         }
     }
 }
@@ -418,10 +443,15 @@ mod tests {
         );
     }
 
-    /// The model-level bridge: the packed streaming step reproduces the
-    /// training forward's representations bit for bit.
+    /// The model-level bridge: the integer streaming step tracks the
+    /// training forward's representations. The NRF half is the same bits;
+    /// the hidden half differs by the int8 gate and the 1/127 grid of
+    /// `h`, held within `STREAM_Z_BOUND` over the toy trajectory.
     #[test]
     fn stream_matches_batch_forward() {
+        // Half a grid step is 1/254 ≈ 0.0039; the toy trajectory's worst
+        // is 0.0039 at seed 4.
+        const STREAM_Z_BOUND: f32 = 0.01;
         let net = tiny_net(4);
         let packed = packed(&net);
         let (segs, nrf, _) = toy_batch();
@@ -429,10 +459,16 @@ mod tests {
         let mut stream = net.stream();
         let mut scratch = LstmScratch::default();
         let mut z = Vec::new();
+        let hidden = net.lstm.hidden_dim();
+        let mut worst = 0.0f32;
         for i in 0..segs.len() {
             net.stream_step(&packed, &mut stream, segs[i], nrf[i], &mut scratch, &mut z);
-            assert_eq!(z, fwd.zs[i], "position {i}");
+            assert_eq!(z[hidden..], fwd.zs[i][hidden..], "position {i}");
+            for (a, b) in z[..hidden].iter().zip(&fwd.zs[i][..hidden]) {
+                worst = worst.max((a - b).abs());
+            }
         }
+        assert!(worst <= STREAM_Z_BOUND, "worst |z - z_fwd| = {worst}");
     }
 
     #[test]

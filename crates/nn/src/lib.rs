@@ -35,6 +35,9 @@ pub mod rnn;
 
 pub use embedding::Embedding;
 pub use linear::{Linear, LinearCtx};
-pub use pack::{GruScratch, LstmScratch, PackedGru, PackedLinear, PackedLstm, PackedWeights};
+pub use pack::{
+    GruScratch, LstmScratch, PackedGru, PackedI8, PackedLinear, PackedLstm, PackedLstmI8,
+    PackedWeights,
+};
 pub use param::Param;
 pub use rnn::{GruCell, GruCtx, LstmCell, LstmCtx, LstmState};

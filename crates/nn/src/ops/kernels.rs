@@ -111,16 +111,51 @@
 //! that ran no faster than ~1.7× scalar, and it cannot vectorize the
 //! reduction without reassociating it.
 //!
-//! A transposed weight layout for the batch path was rejected:
-//! vectorizing across batch lanes (or across rows) forces a
-//! *sequential-k* accumulation per cell — a different reduction order
-//! than the scalar path, which would break the bit-identity above.
+//! A transposed weight layout does not by itself change the reduction
+//! order: an 8 × 8 row-transposed block layout (eight rows' `k..k+8`
+//! blocks interleaved) still keeps each row's `i % 8` partials in separate
+//! accumulators and closes them with vertical adds in the same tree. A
+//! prototype of it at 256 × 64 was bit-identical and ran about as fast as
+//! the direct row-major loop of [`Avx2::matvec`] (1 189 against 1 232 ns
+//! on a 2.1 GHz Xeon), so the row-major layout stays.
+//!
+//! # The integer gate
+//!
+//! Serving's LSTM gate `W_h·h` runs in integers (the third numerics
+//! epoch): the weights are int8 with one scale per row, the hidden state
+//! is int8 at the fixed scale 1/127, and the dot product is an exact `i32`
+//! sum. Integer addition is associative, so **every blocking, lane
+//! assignment and instruction set computes the same bits by
+//! construction** — no reduction order needs to be fixed on this path.
+//!
+//! * **Hidden quantiser** ([`quantize_h`]): `q = clamp(round_half_even(h ·
+//!   127), −127, 127)`, NaN → 0. [`lstm_cell_q`] writes `h = σ(o)⊙tanh(c)`
+//!   through it; the `f32` value of `h` is never stored.
+//! * **Weights** ([`PackedI8`](crate::pack::PackedI8)): row `r` has
+//!   `s_r = max|w_r| / 127`, `q_w = round_half_even(w / s_r)` in
+//!   `[−127, 127]`, and keeps `k_r = s_r / 127` (`q = 0`, `k = 0` for an
+//!   all-zero row).
+//! * **Mat-vec** ([`gemm_i8`]): `acc_r = Σ_k q_w[r,k]·q_h[k]` in `i32`,
+//!   then `z_r = acc_r as f32 * k_r`. `|acc_r| ≤ H·127²` (1.03 M at
+//!   `H = 64`, 2.06 M at 128) is below 2²⁴ for `H ≤ 1040`, so the
+//!   conversion is exact; the gate is then `z_r + u_r` inside the
+//!   unchanged [`lstm_cell`] update, a multiply and an add, never an FMA.
+//!   The codes are stored row-interleaved (8 rows × 4 columns per 32
+//!   bytes), so each `i32` lane of a vector accumulates one row and no
+//!   kernel reduces horizontally.
+//!
+//! The portable `i32` loop ([`gemm_i8_portable`]) is the definition. On
+//! `x86_64` [`gemm_i8`] dispatches by CPU detection alone: **AVX-VNNI**
+//! ([`AvxVnni`]) runs `vpdpbusd` on `q_h + 128` as `u8` and subtracts the
+//! per-row correction `128·Σ_k q_w[r,k]`; **AVX2** ([`Avx2`]) sign-extends
+//! to `i16` and uses `vpmaddwd` (never `vpmaddubsw`, which saturates);
+//! otherwise the portable loop runs.
 
 #[cfg(target_arch = "x86_64")]
 mod x86;
 
 #[cfg(target_arch = "x86_64")]
-pub use x86::{Avx2, Sse2};
+pub use x86::{Avx2, AvxVnni, Sse2};
 
 use std::ops::{Add, Div, Mul, Neg, Sub};
 
@@ -330,6 +365,9 @@ trait Lanes:
     /// `2ⁿ` for `self = n + ROUND_MAGIC`:
     /// `from_bits((bits(self) − EXP2I_BIAS) << 23)` in wrapping `u32`.
     fn exp2i(self) -> Self;
+    /// Per lane: `0` for NaN, else `clamp(round_half_even(v), −127, 127)`,
+    /// written as `i8` to the first `WIDTH` elements of `s`.
+    fn store_i8(self, s: &mut [i8]);
 }
 
 impl Lanes for f32 {
@@ -399,6 +437,15 @@ impl Lanes for f32 {
     #[inline(always)]
     fn exp2i(self) -> f32 {
         f32::from_bits(self.to_bits().wrapping_sub(EXP2I_BIAS) << 23)
+    }
+
+    #[inline(always)]
+    fn store_i8(self, s: &mut [i8]) {
+        s[0] = if self.is_nan() {
+            0
+        } else {
+            self.round_ties_even().clamp(-Q_MAX, Q_MAX) as i8
+        };
     }
 }
 
@@ -524,7 +571,7 @@ fn apply_with<V: Lanes>(act: Activation, xs: &mut [f32]) {
 /// `z + bias` (`4H`, gate order `i, f, g, o`), `c ← σ(f)⊙c + σ(i)⊙tanh(g)`
 /// and `h ← σ(o)⊙tanh(c)`. `z` is read once and not written. The same
 /// expressions as [`LstmCell::forward`](crate::LstmCell::forward), so the
-/// packed scalar and batched steps are bit-identical to training.
+/// packed `f32` scalar and batched steps are bit-identical to training.
 pub fn lstm_cell(z: &[f32], bias: &[f32], c: &mut [f32], h: &mut [f32]) {
     debug_assert_eq!(z.len(), 4 * c.len());
     debug_assert_eq!(bias.len(), 4 * c.len());
@@ -535,21 +582,63 @@ pub fn lstm_cell(z: &[f32], bias: &[f32], c: &mut [f32], h: &mut [f32]) {
         None => Sse2.lstm_cell(z, bias, c, h),
     }
     #[cfg(not(target_arch = "x86_64"))]
-    lstm_cell_with::<f32>(z, bias, c, h)
+    lstm_cell_with::<f32, _>(z, bias, c, h)
+}
+
+/// [`lstm_cell`] with the new hidden state stored quantised: `h[k] =
+/// quantize_h(σ(o)⊙tanh(c))[k]`, bit-identical to running [`lstm_cell`]
+/// and then [`quantize_h`] on each element. The serving step's cell
+/// update.
+pub fn lstm_cell_q(z: &[f32], bias: &[f32], c: &mut [f32], h: &mut [i8]) {
+    debug_assert_eq!(z.len(), 4 * c.len());
+    debug_assert_eq!(bias.len(), 4 * c.len());
+    debug_assert_eq!(h.len(), c.len());
+    #[cfg(target_arch = "x86_64")]
+    match Avx2::detect() {
+        Some(avx2) => avx2.lstm_cell_q(z, bias, c, h),
+        None => Sse2.lstm_cell_q(z, bias, c, h),
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    lstm_cell_with::<f32, _>(z, bias, c, h)
+}
+
+/// Where `lstm_cell_with` writes the new hidden state: an `f32` slice
+/// as is, an `i8` slice through the hidden quantiser.
+trait HiddenOut {
+    fn put<V: Lanes>(&mut self, k: usize, h: V);
+}
+
+impl HiddenOut for [f32] {
+    #[inline(always)]
+    fn put<V: Lanes>(&mut self, k: usize, h: V) {
+        h.store(&mut self[k..]);
+    }
+}
+
+impl HiddenOut for [i8] {
+    #[inline(always)]
+    fn put<V: Lanes>(&mut self, k: usize, h: V) {
+        quantize_lanes(h, &mut self[k..]);
+    }
 }
 
 /// [`lstm_cell`] `V::WIDTH` hidden units at a time, the tail in the
 /// portable code.
 #[inline(always)]
-fn lstm_cell_with<V: Lanes>(z: &[f32], bias: &[f32], c: &mut [f32], h: &mut [f32]) {
+fn lstm_cell_with<V: Lanes, O: HiddenOut + ?Sized>(
+    z: &[f32],
+    bias: &[f32],
+    c: &mut [f32],
+    h: &mut O,
+) {
     let hd = c.len();
     let mut k = 0;
     while k + V::WIDTH <= hd {
-        lstm_cell_block::<V>(z, bias, c, h, k);
+        lstm_cell_block::<V, O>(z, bias, c, h, k);
         k += V::WIDTH;
     }
     for k in k..hd {
-        lstm_cell_block::<f32>(z, bias, c, h, k);
+        lstm_cell_block::<f32, O>(z, bias, c, h, k);
     }
 }
 
@@ -557,7 +646,13 @@ fn lstm_cell_with<V: Lanes>(z: &[f32], bias: &[f32], c: &mut [f32], h: &mut [f32
 // `target_feature` of the AVX2 function it is instantiated in, so its
 // intrinsics would not inline.
 #[inline(always)]
-fn lstm_cell_block<V: Lanes>(z: &[f32], bias: &[f32], c: &mut [f32], h: &mut [f32], k: usize) {
+fn lstm_cell_block<V: Lanes, O: HiddenOut + ?Sized>(
+    z: &[f32],
+    bias: &[f32],
+    c: &mut [f32],
+    h: &mut O,
+    k: usize,
+) {
     let hd = c.len();
     let i = sigmoid_lanes(V::load(&z[k..]) + V::load(&bias[k..]));
     let f = sigmoid_lanes(V::load(&z[hd + k..]) + V::load(&bias[hd + k..]));
@@ -565,7 +660,133 @@ fn lstm_cell_block<V: Lanes>(z: &[f32], bias: &[f32], c: &mut [f32], h: &mut [f3
     let o = sigmoid_lanes(V::load(&z[3 * hd + k..]) + V::load(&bias[3 * hd + k..]));
     let c_new = f * V::load(&c[k..]) + i * g;
     c_new.store(&mut c[k..]);
-    (o * tanh_lanes(c_new)).store(&mut h[k..]);
+    h.put(k, o * tanh_lanes(c_new));
+}
+
+// ---------------------------------------------------------------------------
+// The integer gate (see the module docs for the specification).
+
+/// Bound of a quantised value: int8 codes live in `[−127, 127]` (−128 is
+/// never produced, so negation and the symmetric scale stay exact).
+const Q_MAX: f32 = 127.0;
+
+/// Fixed scale of the quantised hidden state: `h ≈ q / H_SCALE`.
+pub const H_SCALE: f32 = Q_MAX;
+
+/// The hidden-state quantiser — the portable definition:
+/// `clamp(round_half_even(x · 127), −127, 127)`, with NaN → 0 (so ±∞ give
+/// ±127).
+#[inline]
+pub fn quantize_h(x: f32) -> i8 {
+    let mut q = [0i8];
+    quantize_lanes(x, &mut q);
+    q[0]
+}
+
+#[inline(always)]
+fn quantize_lanes<V: Lanes>(x: V, out: &mut [i8]) {
+    (x * V::splat(H_SCALE)).store_i8(out);
+}
+
+/// [`quantize_h`] of every element of `xs` into `out`, on the widest
+/// instruction set the CPU has; bit-identical to the portable definition.
+pub fn quantize(xs: &[f32], out: &mut [i8]) {
+    debug_assert_eq!(xs.len(), out.len());
+    #[cfg(target_arch = "x86_64")]
+    match Avx2::detect() {
+        Some(avx2) => avx2.quantize(xs, out),
+        None => Sse2.quantize(xs, out),
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    quantize_with::<f32>(xs, out)
+}
+
+/// [`quantize`] `V::WIDTH` elements at a time, the tail in the portable
+/// code.
+#[inline(always)]
+fn quantize_with<V: Lanes>(xs: &[f32], out: &mut [i8]) {
+    let mut k = 0;
+    while k + V::WIDTH <= xs.len() {
+        quantize_lanes(V::load(&xs[k..]), &mut out[k..]);
+        k += V::WIDTH;
+    }
+    for k in k..xs.len() {
+        out[k] = quantize_h(xs[k]);
+    }
+}
+
+/// A row-quantised int8 matrix as the integer kernels read it: the codes
+/// in [`PackedI8`](crate::pack::PackedI8)'s row-interleaved layout (8-row
+/// blocks × 4-column groups of 32 bytes, zero-padded), each row's
+/// dequantisation factor `k_r` and each row's `128·Σ_k q[r,k]` (the VNNI
+/// offset correction), both padded to whole blocks. Only `PackedI8`
+/// builds one, so the parts always agree.
+#[derive(Debug, Clone, Copy)]
+pub struct I8Rows<'a> {
+    pub(crate) blocks: &'a [i8],
+    pub(crate) rows: usize,
+    pub(crate) cols: usize,
+    pub(crate) scale: &'a [f32],
+    pub(crate) corr: &'a [i32],
+}
+
+impl I8Rows<'_> {
+    /// Column groups per block (`⌈cols / 4⌉`).
+    #[inline(always)]
+    fn groups(&self) -> usize {
+        self.cols.div_ceil(4)
+    }
+}
+
+/// The integer gate mat-vec — the portable definition:
+/// `zs[b*rows + r] = (Σ_k q[r,k]·hs[b*h_stride + k]) as f32 * k_r` (the
+/// sum exact in `i32`) for `batch` quantised hidden vectors stored
+/// `h_stride` apart. It walks the codes in layout order: per 8-row block,
+/// per 4-column group, each row's four products into that row's sum.
+pub fn gemm_i8_portable(m: I8Rows, hs: &[i8], h_stride: usize, batch: usize, zs: &mut [f32]) {
+    debug_assert!(h_stride >= m.cols);
+    debug_assert_eq!(zs.len(), batch * m.rows);
+    let block_bytes = m.groups() * 32;
+    for b in 0..batch {
+        let h = &hs[b * h_stride..b * h_stride + m.cols];
+        let z = &mut zs[b * m.rows..(b + 1) * m.rows];
+        for (blk, codes) in m.blocks.chunks_exact(block_bytes).enumerate() {
+            let mut acc = [0i32; 8];
+            for (group, hg) in codes.as_chunks::<32>().0.iter().zip(h.chunks(4)) {
+                // The partial last group reads zeros past `h` (its codes
+                // are zero there too).
+                let mut x = [0i32; 4];
+                for (x, &v) in x.iter_mut().zip(hg) {
+                    *x = i32::from(v);
+                }
+                for (a, row) in acc.iter_mut().zip(group.as_chunks::<4>().0) {
+                    for (&q, &x) in row.iter().zip(&x) {
+                        *a += i32::from(q) * x;
+                    }
+                }
+            }
+            let rows = blk * 8..(blk * 8 + 8).min(m.rows);
+            for ((zr, a), k) in z[rows.clone()].iter_mut().zip(acc).zip(&m.scale[rows]) {
+                *zr = a as f32 * k;
+            }
+        }
+    }
+}
+
+/// [`gemm_i8_portable`] on the fastest integer kernel the CPU has:
+/// AVX-VNNI, else AVX2, else the portable loop. Every path computes the
+/// same bits (integer sums are exact in any order).
+pub fn gemm_i8(m: I8Rows, hs: &[i8], h_stride: usize, batch: usize, zs: &mut [f32]) {
+    debug_assert!(h_stride >= m.cols);
+    debug_assert!(hs.len() >= batch.saturating_sub(1) * h_stride + m.cols * usize::from(batch > 0));
+    debug_assert_eq!(zs.len(), batch * m.rows);
+    #[cfg(target_arch = "x86_64")]
+    if let Some(vnni) = AvxVnni::detect() {
+        return vnni.gemm_i8(m, hs, h_stride, batch, zs);
+    } else if let Some(avx2) = Avx2::detect() {
+        return avx2.gemm_i8(m, hs, h_stride, batch, zs);
+    }
+    gemm_i8_portable(m, hs, h_stride, batch, zs)
 }
 
 #[cfg(test)]
@@ -838,7 +1059,7 @@ mod tests {
             let bias = vals(4 * hidden, -0.05, 7.0);
             let c0 = vals(hidden, 0.21, 3.0);
             let (mut c_want, mut h_want) = (c0.clone(), vec![0.0; hidden]);
-            lstm_cell_with::<f32>(&z, &bias, &mut c_want, &mut h_want);
+            lstm_cell_with::<f32, _>(&z, &bias, &mut c_want, &mut h_want[..]);
             let check = |name: &str, run: &dyn Fn(&mut [f32], &mut [f32])| {
                 let (mut c, mut h) = (c0.clone(), vec![f32::NAN; hidden]);
                 run(&mut c, &mut h);

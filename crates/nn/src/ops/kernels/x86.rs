@@ -1,8 +1,11 @@
 //! The x86_64 instruction sets of the kernel layer: SSE2 (the baseline,
-//! always present) and AVX2 (runtime-detected). Each computes exactly the
-//! bits of the portable definitions in the parent module.
+//! always present), AVX2 and AVX-VNNI (runtime-detected). Each computes
+//! exactly the bits of the portable definitions in the parent module.
 
-use super::{apply_with, fma_tail, lstm_cell_with, reduce, Activation, Lanes, EXP2I_BIAS, LANES};
+use super::{
+    apply_with, fma_tail, lstm_cell_with, quantize_with, reduce, Activation, I8Rows, Lanes,
+    EXP2I_BIAS, LANES, Q_MAX,
+};
 use core::arch::x86_64::*;
 use std::ops::{Add, Div, Mul, Neg, Sub};
 
@@ -140,6 +143,22 @@ impl Lanes for F32x4 {
             F32x4(_mm_castsi128_ps(_mm_slli_epi32::<23>(n)))
         }
     }
+
+    #[inline(always)]
+    fn store_i8(self, s: &mut [i8]) {
+        let s = &mut s[..4];
+        // NaN lanes to +0, clamp, then `cvtps2dq` rounds half to even (the
+        // default MXCSR mode); the packs cannot saturate in [−127, 127].
+        let q = unsafe {
+            let v = _mm_and_ps(self.0, _mm_cmpord_ps(self.0, self.0));
+            let v = _mm_min_ps(_mm_max_ps(v, _mm_set1_ps(-Q_MAX)), _mm_set1_ps(Q_MAX));
+            let w = _mm_packs_epi32(_mm_cvtps_epi32(v), _mm_setzero_si128());
+            _mm_cvtsi128_si32(_mm_packs_epi16(w, w))
+        };
+        for (d, b) in s.iter_mut().zip(q.to_le_bytes()) {
+            *d = b as i8;
+        }
+    }
 }
 
 impl Lanes for F32x8 {
@@ -206,6 +225,25 @@ impl Lanes for F32x8 {
                 _mm256_set1_epi32(EXP2I_BIAS as i32),
             );
             F32x8(_mm256_castsi256_ps(_mm256_slli_epi32::<23>(n)))
+        }
+    }
+
+    #[inline(always)]
+    fn store_i8(self, s: &mut [i8]) {
+        let s = &mut s[..8];
+        // As the SSE2 lanes: NaN → +0, clamp, round half to even, pack.
+        // SAFETY: AVX2 is enabled where `F32x8` exists; the store writes
+        // the 8 bytes of `s`.
+        unsafe {
+            let ord = _mm256_cmp_ps::<_CMP_ORD_Q>(self.0, self.0);
+            let v = _mm256_and_ps(self.0, ord);
+            let v = _mm256_min_ps(
+                _mm256_max_ps(v, _mm256_set1_ps(-Q_MAX)),
+                _mm256_set1_ps(Q_MAX),
+            );
+            let q = _mm256_cvtps_epi32(v);
+            let w = _mm_packs_epi32(_mm256_castsi256_si128(q), _mm256_extracti128_si256::<1>(q));
+            _mm_storel_epi64(s.as_mut_ptr().cast(), _mm_packs_epi16(w, w));
         }
     }
 }
@@ -318,7 +356,17 @@ impl Sse2 {
 
     /// [`lstm_cell`](super::lstm_cell), 4 hidden units at a time.
     pub fn lstm_cell(self, z: &[f32], bias: &[f32], c: &mut [f32], h: &mut [f32]) {
-        lstm_cell_with::<F32x4>(z, bias, c, h)
+        lstm_cell_with::<F32x4, _>(z, bias, c, h)
+    }
+
+    /// [`lstm_cell_q`](super::lstm_cell_q), 4 hidden units at a time.
+    pub fn lstm_cell_q(self, z: &[f32], bias: &[f32], c: &mut [f32], h: &mut [i8]) {
+        lstm_cell_with::<F32x4, _>(z, bias, c, h)
+    }
+
+    /// [`quantize`](super::quantize), 4 lanes at a time.
+    pub fn quantize(self, xs: &[f32], out: &mut [i8]) {
+        quantize_with::<F32x4>(xs, out)
     }
 
     /// [`matvec`](super::matvec) with rows in pairs (the 2×1 micro-kernel:
@@ -405,7 +453,29 @@ impl Avx2 {
         unsafe { lstm_cell_avx2(z, bias, c, h) }
     }
 
-    /// [`matvec`](super::matvec): [`Avx2::gemm_micro`] at batch 1.
+    /// [`lstm_cell_q`](super::lstm_cell_q), 8 hidden units at a time.
+    pub fn lstm_cell_q(self, z: &[f32], bias: &[f32], c: &mut [f32], h: &mut [i8]) {
+        // SAFETY: as above.
+        unsafe { lstm_cell_q_avx2(z, bias, c, h) }
+    }
+
+    /// [`quantize`](super::quantize), 8 lanes at a time.
+    pub fn quantize(self, xs: &[f32], out: &mut [i8]) {
+        // SAFETY: as above.
+        unsafe { quantize_avx2(xs, out) }
+    }
+
+    /// [`gemm_i8`](super::gemm_i8) with `vpmaddwd`: each 32-byte code
+    /// group (8 rows × 4 columns) sign-extended to `i16` in two halves and
+    /// multiplied against the group's 4 hidden codes, 32 rows in flight.
+    pub fn gemm_i8(self, m: I8Rows, hs: &[i8], h_stride: usize, batch: usize, zs: &mut [f32]) {
+        // SAFETY: as above.
+        unsafe { gemm_i8_avx2(m, hs, h_stride, batch, zs) }
+    }
+
+    /// [`matvec`](super::matvec): 4 rows in flight, each row's `__m256`
+    /// holding its eight `i % 8` lane partials — the cells of
+    /// [`Avx2::gemm_micro`] at one input, without its batch loop.
     pub fn matvec(
         self,
         w: &[f32],
@@ -415,7 +485,8 @@ impl Avx2 {
         x: &[f32],
         y: &mut [f32],
     ) {
-        self.gemm_micro(w, stride, rows, cols, x, cols, 1, y)
+        // SAFETY: as above.
+        unsafe { matvec_avx2(w, stride, rows, cols, x, y) }
     }
 
     /// [`gemm_micro`](super::gemm_micro) with 4 weight rows × 2 batch lanes
@@ -453,7 +524,49 @@ fn apply_avx2(act: Activation, xs: &mut [f32]) {
 
 #[target_feature(enable = "avx2")]
 fn lstm_cell_avx2(z: &[f32], bias: &[f32], c: &mut [f32], h: &mut [f32]) {
-    lstm_cell_with::<F32x8>(z, bias, c, h)
+    lstm_cell_with::<F32x8, _>(z, bias, c, h)
+}
+
+#[target_feature(enable = "avx2")]
+fn lstm_cell_q_avx2(z: &[f32], bias: &[f32], c: &mut [f32], h: &mut [i8]) {
+    lstm_cell_with::<F32x8, _>(z, bias, c, h)
+}
+
+#[target_feature(enable = "avx2")]
+fn quantize_avx2(xs: &[f32], out: &mut [i8]) {
+    quantize_with::<F32x8>(xs, out)
+}
+
+#[target_feature(enable = "avx2")]
+fn matvec_avx2(w: &[f32], stride: usize, rows: usize, cols: usize, x: &[f32], y: &mut [f32]) {
+    let full = cols / LANES * LANES;
+    let x = &x[..cols];
+    let row = |r: usize| &w[r * stride..r * stride + cols];
+    let mut r = 0;
+    while r + 4 <= rows {
+        let ws = [row(r), row(r + 1), row(r + 2), row(r + 3)];
+        let mut acc = [_mm256_setzero_ps(); 4];
+        let mut k = 0;
+        while k < full {
+            // SAFETY: every row and `x` hold `cols >= k + 8` elements.
+            unsafe {
+                let xv = _mm256_loadu_ps(x.as_ptr().add(k));
+                for (a, wr) in acc.iter_mut().zip(&ws) {
+                    *a = _mm256_add_ps(*a, _mm256_mul_ps(_mm256_loadu_ps(wr.as_ptr().add(k)), xv));
+                }
+            }
+            k += LANES;
+        }
+        for (i, (&a, wr)) in acc.iter().zip(&ws).enumerate() {
+            // SAFETY: this function runs with AVX2 enabled.
+            y[r + i] = unsafe { finish(a, &wr[full..], &x[full..]) };
+        }
+        r += 4;
+    }
+    for (r, yr) in y.iter_mut().enumerate().take(rows).skip(r) {
+        // SAFETY: as above.
+        *yr = unsafe { cells([row(r)], [x])[0][0] };
+    }
 }
 
 /// The shape of one [`gemm_micro`](super::gemm_micro) call.
@@ -575,4 +688,210 @@ unsafe fn finish(acc: __m256, w_tail: &[f32], x_tail: &[f32]) -> f32 {
         fma_tail(&mut lanes, w_tail, x_tail);
         reduce(&lanes)
     }
+}
+
+// ---------------------------------------------------------------------------
+// The integer gate: exact `i32` sums, so any blocking gives the bits of
+// `gemm_i8_portable`.
+
+/// Proof that the running CPU has AVX-VNNI and AVX2: [`AvxVnni::detect`]
+/// is the only way to get one.
+#[derive(Debug, Clone, Copy)]
+pub struct AvxVnni(());
+
+impl AvxVnni {
+    /// `Some` iff the CPU has AVX2 and AVX-VNNI (`vpdpbusd` on 256-bit
+    /// registers); cached detection, as [`Avx2::detect`].
+    #[inline]
+    pub fn detect() -> Option<AvxVnni> {
+        (is_x86_feature_detected!("avx2") && is_x86_feature_detected!("avxvnni"))
+            .then_some(AvxVnni(()))
+    }
+
+    /// [`gemm_i8`](super::gemm_i8) with `vpdpbusd`: each 32-byte code
+    /// group (8 rows × 4 columns) against the group's 4 hidden codes + 128
+    /// as `u8`, the per-row correction `128·Σ q` subtracted at the end; 32
+    /// rows in flight.
+    pub fn gemm_i8(self, m: I8Rows, hs: &[i8], h_stride: usize, batch: usize, zs: &mut [f32]) {
+        // SAFETY: `self` proves the CPU has AVX2 and AVX-VNNI.
+        unsafe { gemm_i8_vnni(m, hs, h_stride, batch, zs) }
+    }
+}
+
+/// Row blocks of a gate mat-vec in flight: four independent accumulator
+/// chains hide the multiply-add latency and share each hidden group.
+const BLOCKS: usize = 4;
+
+/// One integer gate kernel: how a hidden group (4 codes, one
+/// little-endian `i32`) is prepared once per `BLOCKS` blocks, how a
+/// block's 32-byte code group is accumulated, and how a block's
+/// accumulators become its eight exact row sums.
+///
+/// # Safety
+/// Every method needs the kernel's instruction set; `accumulate` reads 32
+/// bytes at `codes`, `sums` 8 `i32`s at `corr`.
+trait GateKernel {
+    type H: Copy;
+    type Acc: Copy;
+    unsafe fn zero() -> Self::Acc;
+    unsafe fn prepare(group: i32) -> Self::H;
+    unsafe fn accumulate(acc: Self::Acc, h: Self::H, codes: *const i8) -> Self::Acc;
+    unsafe fn sums(acc: Self::Acc, corr: *const i32) -> __m256i;
+}
+
+/// Runs `K` over every lane: row blocks `BLOCKS` at a time, then one at a
+/// time. Generic, not a closure: a closure would not inherit the caller's
+/// `target_feature`.
+///
+/// # Safety
+/// As `K`'s methods.
+#[inline(always)]
+unsafe fn gemm_i8_with<K: GateKernel>(
+    m: I8Rows,
+    hs: &[i8],
+    h_stride: usize,
+    batch: usize,
+    zs: &mut [f32],
+) {
+    let row_blocks = m.rows.div_ceil(8);
+    assert!(m.blocks.len() >= row_blocks * m.groups() * 32);
+    assert!(m.scale.len() >= row_blocks * 8 && m.corr.len() >= row_blocks * 8);
+    for b in 0..batch {
+        let h = &hs[b * h_stride..b * h_stride + m.cols];
+        let z = &mut zs[b * m.rows..(b + 1) * m.rows];
+        let mut blk = 0;
+        while blk + BLOCKS <= row_blocks {
+            blocks_n::<K, BLOCKS>(&m, blk, h, z);
+            blk += BLOCKS;
+        }
+        for blk in blk..row_blocks {
+            blocks_n::<K, 1>(&m, blk, h, z);
+        }
+    }
+}
+
+/// Row blocks `blk..blk + N` of one lane: `z[8·blk..]` (clipped to the
+/// real rows) from the exact row sums.
+///
+/// # Safety
+/// As `K`'s methods; `blk + N` blocks must exist (asserted by the caller).
+#[inline(always)]
+unsafe fn blocks_n<K: GateKernel, const N: usize>(m: &I8Rows, blk: usize, h: &[i8], z: &mut [f32]) {
+    // Every pointer below stays inside block `blk + j < row_blocks` of
+    // `m.blocks` (group `g < groups`), or inside the first `row_blocks · 8`
+    // entries of `m.corr` / `m.scale`: the lengths `gemm_i8_with` asserts.
+    let block_bytes = m.groups() * 32;
+    let base = m.blocks.as_ptr().add(blk * block_bytes);
+    let mut acc = [K::zero(); N];
+    let (full, tail) = h.as_chunks::<4>();
+    for (g, group) in full.iter().enumerate() {
+        let hg = K::prepare(i32::from_le_bytes(group.map(|x| x as u8)));
+        for (j, a) in acc.iter_mut().enumerate() {
+            *a = K::accumulate(*a, hg, base.add(j * block_bytes + g * 32));
+        }
+    }
+    if !tail.is_empty() {
+        // The last, partial group: its padded codes are zero.
+        let mut group = [0u8; 4];
+        for (d, &x) in group.iter_mut().zip(tail) {
+            *d = x as u8;
+        }
+        let hg = K::prepare(i32::from_le_bytes(group));
+        for (j, a) in acc.iter_mut().enumerate() {
+            *a = K::accumulate(*a, hg, base.add(j * block_bytes + full.len() * 32));
+        }
+    }
+    for (j, &a) in acc.iter().enumerate() {
+        let r = (blk + j) * 8;
+        let sums = K::sums(a, m.corr.as_ptr().add(r));
+        let k = _mm256_loadu_ps(m.scale.as_ptr().add(r));
+        let v = _mm256_mul_ps(_mm256_cvtepi32_ps(sums), k);
+        if r + 8 <= m.rows {
+            _mm256_storeu_ps(z[r..r + 8].as_mut_ptr(), v);
+        } else {
+            let mut last = [0.0f32; 8];
+            _mm256_storeu_ps(last.as_mut_ptr(), v);
+            z[r..].copy_from_slice(&last[..m.rows - r]);
+        }
+    }
+}
+
+/// AVX2: a group's 16-byte halves (rows 0–3, 4–7) sign-extended to `i16`
+/// and `vpmaddwd`-ed against the 4 hidden codes broadcast as `i16`; each
+/// `i32` lane holds one row's two-column partial, so a block ends with one
+/// `vphaddd` and a lane permute.
+struct MaddAvx2;
+
+impl GateKernel for MaddAvx2 {
+    type H = __m256i;
+    type Acc = (__m256i, __m256i);
+
+    #[inline(always)]
+    unsafe fn zero() -> Self::Acc {
+        (_mm256_setzero_si256(), _mm256_setzero_si256())
+    }
+
+    #[inline(always)]
+    unsafe fn prepare(group: i32) -> __m256i {
+        _mm256_broadcastq_epi64(_mm_cvtepi8_epi16(_mm_cvtsi32_si128(group)))
+    }
+
+    #[inline(always)]
+    unsafe fn accumulate(acc: Self::Acc, h: __m256i, codes: *const i8) -> Self::Acc {
+        let lo = _mm256_cvtepi8_epi16(_mm_loadu_si128(codes.cast()));
+        let hi = _mm256_cvtepi8_epi16(_mm_loadu_si128(codes.add(16).cast()));
+        (
+            _mm256_add_epi32(acc.0, _mm256_madd_epi16(lo, h)),
+            _mm256_add_epi32(acc.1, _mm256_madd_epi16(hi, h)),
+        )
+    }
+
+    #[inline(always)]
+    unsafe fn sums(acc: Self::Acc, _corr: *const i32) -> __m256i {
+        // [r0 r1 r4 r5 | r2 r3 r6 r7] → rows in order.
+        _mm256_permute4x64_epi64::<0b11_01_10_00>(_mm256_hadd_epi32(acc.0, acc.1))
+    }
+}
+
+/// AVX-VNNI: `vpdpbusd` of the group's codes against the broadcast 4
+/// hidden codes plus 128 (as `u8`); each `i32` lane holds one row's sum
+/// plus `128·Σ q`, removed once per block.
+struct DpbusdVnni;
+
+impl GateKernel for DpbusdVnni {
+    type H = __m256i;
+    type Acc = __m256i;
+
+    #[inline(always)]
+    unsafe fn zero() -> __m256i {
+        _mm256_setzero_si256()
+    }
+
+    #[inline(always)]
+    unsafe fn prepare(group: i32) -> __m256i {
+        // `x ^ 0x80` is `x + 128` as u8.
+        _mm256_set1_epi32(group ^ i32::from_le_bytes([0x80; 4]))
+    }
+
+    #[inline(always)]
+    unsafe fn accumulate(acc: __m256i, h: __m256i, codes: *const i8) -> __m256i {
+        _mm256_dpbusd_avx_epi32(acc, h, _mm256_loadu_si256(codes.cast()))
+    }
+
+    #[inline(always)]
+    unsafe fn sums(acc: __m256i, corr: *const i32) -> __m256i {
+        _mm256_sub_epi32(acc, _mm256_loadu_si256(corr.cast()))
+    }
+}
+
+#[target_feature(enable = "avx2")]
+fn gemm_i8_avx2(m: I8Rows, hs: &[i8], h_stride: usize, batch: usize, zs: &mut [f32]) {
+    // SAFETY: this function runs with AVX2 enabled.
+    unsafe { gemm_i8_with::<MaddAvx2>(m, hs, h_stride, batch, zs) }
+}
+
+#[target_feature(enable = "avx2,avxvnni")]
+fn gemm_i8_vnni(m: I8Rows, hs: &[i8], h_stride: usize, batch: usize, zs: &mut [f32]) {
+    // SAFETY: this function runs with AVX2 and AVX-VNNI enabled.
+    unsafe { gemm_i8_with::<DpbusdVnni>(m, hs, h_stride, batch, zs) }
 }

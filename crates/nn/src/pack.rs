@@ -30,17 +30,18 @@
 //! of the gate matrix as two packed matrices, so its steps never build an
 //! `[x; h]` concatenation: the gate definition in [`LstmCell`] is two
 //! separate dots. [`PackedLstm::input_gates`] is the `W_x` half, which a
-//! caller may tabulate per input, and [`PackedLstm::infer_step_from`] is
-//! the one serving step, which reads only `W_h` and that half.
+//! caller may tabulate per input.
 //!
-//! A transposed layout for the batch≥4 path was evaluated and rejected:
-//! it forces a sequential-k accumulation per output cell, a different
-//! reduction order than the scalar path, which would break the repo's
-//! batched-vs-scalar bit-identity invariants (see the
-//! [`kernels`](mod@crate::ops::kernels) docs).
+//! Serving does not step the `f32` cell. [`PackedLstmI8`] is the one
+//! serving step: `W_h` quantised to int8 per row ([`PackedI8`]), the
+//! hidden state kept as int8 at scale 1/127, the gate an exact integer
+//! dot dequantised before the unchanged `f32` cell update (the integer
+//! gate of the [`kernels`](mod@crate::ops::kernels) docs). It is *not*
+//! bit-identical to [`LstmCell::forward`]; the `f32` [`PackedLstm`] steps
+//! stay as the reference form that is.
 
 use crate::linear::Linear;
-use crate::ops::kernels::{self, LANES};
+use crate::ops::kernels::{self, I8Rows, LANES};
 use crate::ops::{sigmoid, tanh};
 use crate::rnn::{GruCell, LstmCell, LstmState};
 
@@ -199,11 +200,11 @@ impl PackedLinear {
 /// carried alongside.
 ///
 /// A step is split at the gate definition of [`LstmCell`]:
-/// [`PackedLstm::input_gates`] computes `u = W_x x + b`, and
-/// [`PackedLstm::infer_step_from`] adds `W_h h` and runs the cell update.
-/// A caller whose inputs come from a finite vocabulary tabulates `u` once
-/// per input and calls only the second half per step, which reads `W_h`
-/// and one `4H` row instead of the whole `4H × (I+H)` matrix.
+/// [`PackedLstm::input_gates`] computes `u = W_x x + b`, then `W_h h` is
+/// added and the cell update runs. A caller whose inputs come from a
+/// finite vocabulary tabulates `u` once per input; the serving step on
+/// such a table is [`PackedLstmI8::step`]. The `f32` steps here are the
+/// reference form, bit-identical to training.
 #[derive(Debug, Clone)]
 pub struct PackedLstm {
     wx: PackedWeights,
@@ -248,62 +249,26 @@ impl PackedLstm {
         }
     }
 
-    /// The serving step: advances `state` in place from the input half
-    /// `u` of the gates ([`PackedLstm::input_gates`] of this step's
-    /// input). Reads `W_h` and `u`, never `W_x`. The gate buffer is sized
-    /// once: the mat-vec overwrites every cell.
-    pub fn infer_step_from(&self, u: &[f32], state: &mut LstmState, scratch: &mut LstmScratch) {
-        debug_assert_eq!(u.len(), self.b.len());
-        debug_assert_eq!(state.h.len(), self.hidden_dim());
-        scratch.gates.resize(self.b.len(), 0.0);
-        self.wh.matvec(&state.h, &mut scratch.gates);
-        kernels::lstm_cell(&scratch.gates, u, &mut state.c, &mut state.h);
-    }
-
     /// Allocation-free scalar step from a raw input `x`:
-    /// [`PackedLstm::input_gates`] followed by
-    /// [`PackedLstm::infer_step_from`]. Bit-identical to
-    /// [`LstmCell::forward`]'s value path.
+    /// [`PackedLstm::input_gates`], then `W_h h` and the cell update.
+    /// Bit-identical to [`LstmCell::forward`]'s value path.
     pub fn infer_step(&self, x: &[f32], state: &mut LstmState, scratch: &mut LstmScratch) {
         debug_assert_eq!(x.len(), self.input_dim());
-        let mut u = std::mem::take(&mut scratch.u);
-        u.resize(self.b.len(), 0.0);
-        self.input_gates(x, &mut u);
-        self.infer_step_from(&u, state, scratch);
-        scratch.u = u;
+        debug_assert_eq!(state.h.len(), self.hidden_dim());
+        scratch.u.resize(self.b.len(), 0.0);
+        scratch.gates.resize(self.b.len(), 0.0);
+        self.input_gates(x, &mut scratch.u);
+        self.wh.matvec(&state.h, &mut scratch.gates);
+        kernels::lstm_cell(&scratch.gates, &scratch.u, &mut state.c, &mut state.h);
     }
 
-    /// Batched [`PackedLstm::infer_step_from`]: advances `batch`
-    /// independent lanes in one pass over `W_h`.
-    ///
-    /// * `u` — lane `b`'s `4H` input half of the gates, read in place
-    ///   (e.g. a row of a per-input table), so nothing is gathered;
-    /// * `c` — `batch × hidden` cell states, updated in place;
-    /// * `h` — `batch × hidden` hidden vectors, read and then overwritten;
-    /// * `z_scratch` — reusable gate buffer (resized to `batch × 4·hidden`,
-    ///   never zeroed: the mat-vec overwrites every cell).
-    ///
-    /// Per-lane results are **bit-identical** to
-    /// [`PackedLstm::infer_step_from`] (same kernel accumulation order,
-    /// same element-wise gate expressions).
-    pub fn infer_step_from_batch<'u>(
-        &self,
-        batch: usize,
-        u: impl Fn(usize) -> &'u [f32],
-        c: &mut [f32],
-        h: &mut [f32],
-        z_scratch: &mut Vec<f32>,
-    ) {
-        z_scratch.resize(batch * self.b.len(), 0.0);
-        self.cells_from_batch(batch, u, c, h, z_scratch);
-    }
-
-    /// Batched [`PackedLstm::infer_step`], for inputs not drawn from a
-    /// table: `xh` is `batch × (input + hidden)` row-major, each lane's
-    /// input concatenated with its previous hidden vector; `c`, `h` and
-    /// `z_scratch` as in [`PackedLstm::infer_step_from_batch`] (`h` is
-    /// only written; `z_scratch` also holds the lanes' input halves).
-    /// Bit-identical per lane to [`PackedLstm::infer_step`].
+    /// Batched [`PackedLstm::infer_step`]: `xh` is `batch × (input +
+    /// hidden)` row-major, each lane's input concatenated with its
+    /// previous hidden vector; `c` is `batch × hidden` cell states,
+    /// updated in place; `h` is `batch × hidden`, only written;
+    /// `z_scratch` is a reusable buffer (resized, never zeroed: the
+    /// mat-vecs overwrite every cell). Walks `W_x` and `W_h` once for all
+    /// lanes, and is bit-identical per lane to [`PackedLstm::infer_step`].
     pub fn infer_step_batch(
         &self,
         batch: usize,
@@ -315,43 +280,235 @@ impl PackedLstm {
         let (input, hidden, gates) = (self.input_dim(), self.hidden_dim(), self.b.len());
         let row = input + hidden;
         debug_assert_eq!(xh.len(), batch * row);
-        z_scratch.resize(2 * batch * gates, 0.0);
-        let (us, zs) = z_scratch.split_at_mut(batch * gates);
-        let wx = &self.wx;
-        kernels::gemm_micro(&wx.data, wx.stride, wx.rows, input, xh, row, batch, us);
-        for ub in us.chunks_exact_mut(gates) {
-            for (ui, bi) in ub.iter_mut().zip(&self.b) {
-                *ui += bi;
-            }
-        }
-        for (hb, xhb) in h.chunks_exact_mut(hidden).zip(xh.chunks_exact(row)) {
-            hb.copy_from_slice(&xhb[input..]);
-        }
-        let us = &*us;
-        self.cells_from_batch(batch, |b| &us[b * gates..(b + 1) * gates], c, h, zs);
-    }
-
-    /// `zs = W_h h` for every lane, then each lane's cell update with its
-    /// input half `u(b)` as the bias.
-    fn cells_from_batch<'u>(
-        &self,
-        batch: usize,
-        u: impl Fn(usize) -> &'u [f32],
-        c: &mut [f32],
-        h: &mut [f32],
-        zs: &mut [f32],
-    ) {
-        let (hidden, gates) = (self.hidden_dim(), self.b.len());
         debug_assert_eq!(c.len(), batch * hidden);
         debug_assert_eq!(h.len(), batch * hidden);
-        self.wh.matvec_batch(h, batch, zs);
+        z_scratch.resize(2 * batch * gates, 0.0);
+        let (us, zs) = z_scratch.split_at_mut(batch * gates);
+        let (wx, wh) = (&self.wx, &self.wh);
+        kernels::gemm_micro(&wx.data, wx.stride, wx.rows, input, xh, row, batch, us);
+        let xh_h = &xh[input..];
+        kernels::gemm_micro(&wh.data, wh.stride, wh.rows, hidden, xh_h, row, batch, zs);
         for (b, ((zb, cb), hb)) in zs
             .chunks_exact(gates)
             .zip(c.chunks_exact_mut(hidden))
             .zip(h.chunks_exact_mut(hidden))
             .enumerate()
         {
-            kernels::lstm_cell(zb, u(b), cb, hb);
+            let ub = &mut us[b * gates..(b + 1) * gates];
+            for (ui, bi) in ub.iter_mut().zip(&self.b) {
+                *ui += bi;
+            }
+            kernels::lstm_cell(zb, ub, cb, hb);
+        }
+    }
+}
+
+/// A matrix quantised to int8 with one scale per row — the form the
+/// integer kernels ([`kernels::gemm_i8`]) read. Row `r` keeps
+/// `s_r = max|w_r| / 127`, the codes `q = round_half_even(w / s_r)` in
+/// `[−127, 127]`, the dequantisation factor `k_r = s_r / 127` (the hidden
+/// state's scale folded in) and the VNNI correction `128·Σ q_r`.
+///
+/// The codes are stored **row-interleaved**: blocks of 8 rows, each block
+/// as `⌈cols / 4⌉` groups of 32 bytes holding its 8 rows × 4 consecutive
+/// columns. One 32-byte load then
+/// feeds eight rows' `i32` lanes (`vpdpbusd` sums 4 products per lane),
+/// so no kernel reduces horizontally. Rows and columns are zero-padded to
+/// whole blocks and groups; the padding contributes exact zeros.
+#[derive(Debug, Clone)]
+pub struct PackedI8 {
+    blocks: Vec<i8>,
+    scale: Vec<f32>,
+    corr: Vec<i32>,
+    rows: usize,
+    cols: usize,
+}
+
+/// Rows per interleaved block of a [`PackedI8`] (one `i32` lane of a
+/// 256-bit register each).
+const I8_BLOCK_ROWS: usize = 8;
+
+impl PackedI8 {
+    /// Quantises a dense row-major `rows × cols` matrix. An all-zero row
+    /// gets codes 0 and `k = 0`.
+    ///
+    /// # Panics
+    /// Panics if `values.len() != rows * cols`.
+    pub fn quantize(values: &[f32], rows: usize, cols: usize) -> Self {
+        assert_eq!(values.len(), rows * cols, "shape mismatch");
+        let mut q = Vec::with_capacity(rows * cols);
+        let mut k = Vec::with_capacity(rows);
+        for row in values.chunks_exact(cols.max(1)).take(rows) {
+            let s = row.iter().fold(0.0f32, |m, w| m.max(w.abs())) / 127.0;
+            if s > 0.0 {
+                q.extend(
+                    row.iter()
+                        .map(|&w| (w / s).round_ties_even().clamp(-127.0, 127.0) as i8),
+                );
+            } else {
+                q.resize(q.len() + cols, 0);
+            }
+            k.push(s / 127.0);
+        }
+        Self::from_codes(&q, k, rows, cols)
+    }
+
+    /// A matrix from row-major codes (each in `[−127, 127]`) and per-row
+    /// dequantisation factors `k_r`.
+    ///
+    /// # Panics
+    /// Panics on a shape mismatch or a code of −128.
+    pub fn from_codes(q: &[i8], k: Vec<f32>, rows: usize, cols: usize) -> Self {
+        assert_eq!(q.len(), rows * cols, "shape mismatch");
+        assert_eq!(k.len(), rows, "one factor per row");
+        assert!(q.iter().all(|&v| v != i8::MIN), "codes live in [-127, 127]");
+        let (row_blocks, groups) = (rows.div_ceil(I8_BLOCK_ROWS), cols.div_ceil(4));
+        let padded = row_blocks * I8_BLOCK_ROWS;
+        let mut blocks = vec![0i8; padded * groups * 4];
+        let mut corr = vec![0i32; padded];
+        for r in 0..rows {
+            let row = &q[r * cols..(r + 1) * cols];
+            for (c, &v) in row.iter().enumerate() {
+                blocks[Self::offset(groups, r, c)] = v;
+            }
+            corr[r] = 128 * row.iter().map(|&v| i32::from(v)).sum::<i32>();
+        }
+        let mut scale = k;
+        scale.resize(padded, 0.0);
+        PackedI8 {
+            blocks,
+            scale,
+            corr,
+            rows,
+            cols,
+        }
+    }
+
+    /// Index of code `(r, c)` in the interleaved layout.
+    #[inline]
+    fn offset(groups: usize, r: usize, c: usize) -> usize {
+        let (block, lane) = (r / I8_BLOCK_ROWS, r % I8_BLOCK_ROWS);
+        ((block * groups + c / 4) * I8_BLOCK_ROWS + lane) * 4 + c % 4
+    }
+
+    /// Number of rows.
+    #[inline]
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Number of columns.
+    #[inline]
+    pub fn cols(&self) -> usize {
+        self.cols
+    }
+
+    /// The code of row `r`, column `c`.
+    #[inline]
+    pub fn code(&self, r: usize, c: usize) -> i8 {
+        assert!(r < self.rows && c < self.cols, "code out of range");
+        self.blocks[Self::offset(self.cols.div_ceil(4), r, c)]
+    }
+
+    /// Row `r`'s dequantisation factor `k_r = s_r / 127`.
+    #[inline]
+    pub fn factor(&self, r: usize) -> f32 {
+        assert!(r < self.rows, "row out of range");
+        self.scale[r]
+    }
+
+    /// The view the integer kernels take.
+    #[inline]
+    pub fn view(&self) -> I8Rows<'_> {
+        I8Rows {
+            blocks: &self.blocks,
+            rows: self.rows,
+            cols: self.cols,
+            scale: &self.scale,
+            corr: &self.corr,
+        }
+    }
+}
+
+/// The serving form of an [`LstmCell`]'s step: `W_h` as int8
+/// ([`PackedI8`]) and the hidden state as int8 at scale 1/127 (see the
+/// integer gate in the [`kernels`](mod@crate::ops::kernels) docs). The
+/// input half of the gates, `u = W_x x + b`, comes from the caller —
+/// typically a table of [`PackedLstm::input_gates`] rows — so a step reads
+/// only the int8 `W_h` and one `4H` row of `u`.
+///
+/// A step computes `z_r = (Σ_k q_w[r,k]·q_h[k]) as f32 * k_r`, runs
+/// [`kernels::lstm_cell_q`] on `z + u` and writes the new `h` quantised;
+/// the cell state `c` stays `f32`.
+#[derive(Debug, Clone)]
+pub struct PackedLstmI8 {
+    wh: PackedI8,
+}
+
+impl PackedLstmI8 {
+    /// Quantises the recurrent half of a packed cell.
+    pub fn of(lstm: &PackedLstm) -> Self {
+        let (rows, cols) = (lstm.wh.rows(), lstm.wh.cols());
+        let dense: Vec<f32> = (0..rows).flat_map(|r| lstm.wh.row(r)).copied().collect();
+        PackedLstmI8 {
+            wh: PackedI8::quantize(&dense, rows, cols),
+        }
+    }
+
+    /// Hidden dimension.
+    #[inline]
+    pub fn hidden_dim(&self) -> usize {
+        self.wh.cols()
+    }
+
+    /// The quantised `W_h` (`4H × H`).
+    #[inline]
+    pub fn wh(&self) -> &PackedI8 {
+        &self.wh
+    }
+
+    /// The serving step: advances `(c, h)` in place from the input half
+    /// `u` of the gates. `h` is the quantised hidden state, read by the
+    /// gate and overwritten by the cell update.
+    pub fn step(&self, u: &[f32], c: &mut [f32], h: &mut [i8], scratch: &mut LstmScratch) {
+        debug_assert_eq!(u.len(), self.wh.rows());
+        scratch.gates.resize(self.wh.rows(), 0.0);
+        kernels::gemm_i8(self.wh.view(), h, h.len(), 1, &mut scratch.gates);
+        kernels::lstm_cell_q(&scratch.gates, u, c, h);
+    }
+
+    /// Batched [`PackedLstmI8::step`]: advances `batch` independent lanes.
+    ///
+    /// * `u` — lane `b`'s `4H` input half of the gates, read in place
+    ///   (e.g. a row of a per-input table), so nothing is gathered;
+    /// * `c` — `batch × hidden` cell states, updated in place;
+    /// * `h` — `batch × hidden` quantised hidden states, read and then
+    ///   overwritten;
+    /// * `z_scratch` — reusable gate buffer (resized to `batch × 4·hidden`,
+    ///   never zeroed: the mat-vec overwrites every cell).
+    ///
+    /// Per-lane results are bit-identical to [`PackedLstmI8::step`]: the
+    /// integer sums are exact, and the cell update is per lane.
+    pub fn step_batch<'u>(
+        &self,
+        batch: usize,
+        u: impl Fn(usize) -> &'u [f32],
+        c: &mut [f32],
+        h: &mut [i8],
+        z_scratch: &mut Vec<f32>,
+    ) {
+        let (hidden, gates) = (self.hidden_dim(), self.wh.rows());
+        debug_assert_eq!(c.len(), batch * hidden);
+        debug_assert_eq!(h.len(), batch * hidden);
+        z_scratch.resize(batch * gates, 0.0);
+        kernels::gemm_i8(self.wh.view(), h, hidden, batch, z_scratch);
+        for (b, ((zb, cb), hb)) in z_scratch
+            .chunks_exact(gates)
+            .zip(c.chunks_exact_mut(hidden))
+            .zip(h.chunks_exact_mut(hidden))
+            .enumerate()
+        {
+            kernels::lstm_cell_q(zb, u(b), cb, hb);
         }
     }
 }

@@ -275,8 +275,8 @@ impl FrozenArena {
     /// # Panics
     /// Panics (or debug-asserts bounds) if `r` was freed.
     pub fn get(&self, r: FrozenRef) -> &[u8] {
-        let e = self.entries[r.0 as usize];
-        assert!(e.live, "frozen blob {} was freed", r.0);
+        let e = self.entries.get(r.0 as usize).filter(|e| e.live);
+        let e = *e.unwrap_or_else(|| panic!("frozen blob {} was freed", r.0));
         let chunk = &self.chunks[e.chunk as usize];
         debug_assert!(
             (e.offset as usize).saturating_add(e.len as usize) <= chunk.len(),
@@ -285,18 +285,25 @@ impl FrozenArena {
         &chunk[e.offset as usize..e.offset as usize + e.len as usize]
     }
 
-    /// Frees a blob, compacting the arena when dead bytes dominate.
+    /// Frees a blob, compacting the arena when dead bytes dominate. Freeing
+    /// the last live blob releases everything — chunks, entry table and
+    /// free list — so a drained cold tier costs nothing.
     ///
     /// # Panics
     /// Panics if `r` was already freed.
     pub fn free(&mut self, r: FrozenRef) {
-        let e = &mut self.entries[r.0 as usize];
-        assert!(e.live, "frozen blob {} double-freed", r.0);
+        let e = self.entries.get_mut(r.0 as usize).filter(|e| e.live);
+        let e = e.unwrap_or_else(|| panic!("frozen blob {} double-freed", r.0));
         e.live = false;
         self.live_bytes -= e.len as usize;
         self.dead_bytes += e.len as usize;
         self.free.push(r.0);
-        if self.dead_bytes >= self.live_bytes && self.dead_bytes > self.chunk_size {
+        if self.free.len() == self.entries.len() {
+            self.chunks = Vec::new();
+            self.entries = Vec::new();
+            self.free = Vec::new();
+            self.dead_bytes = 0;
+        } else if self.dead_bytes >= self.live_bytes && self.dead_bytes > self.chunk_size {
             self.compact();
         }
     }
@@ -538,5 +545,27 @@ mod tests {
             "churn grew the arena footprint to {}",
             arena.footprint_bytes()
         );
+    }
+
+    #[test]
+    fn a_drained_arena_releases_its_chunks() {
+        // Freeze all, then thaw all: freeing the last live blob gives back
+        // every chunk and the entry table, whatever the order.
+        for reverse in [false, true] {
+            let mut arena = FrozenArena::new();
+            let mut refs: Vec<_> = (0..300u32).map(|i| arena.alloc(&[i as u8; 40])).collect();
+            assert!(arena.footprint_bytes() >= DEFAULT_CHUNK_SIZE);
+            if reverse {
+                refs.reverse();
+            }
+            for r in refs {
+                arena.free(r);
+            }
+            assert!(arena.is_empty());
+            assert_eq!(arena.footprint_bytes(), 0, "reverse {reverse}");
+            assert_eq!((arena.live_bytes(), arena.dead_bytes()), (0, 0));
+            let r = arena.alloc(b"again");
+            assert_eq!(arena.get(r), b"again");
+        }
     }
 }

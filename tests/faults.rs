@@ -513,6 +513,10 @@ fn assert_swaps_survive_restart(shards: usize, scoped_first: bool, panic_at: usi
         report.engine.observe_events, report.ingest.flushed_events,
         "{case}: observe counts lost in the restart"
     );
+    assert_eq!(
+        report.engine.frozen_footprint_bytes, clean.report.engine.frozen_footprint_bytes,
+        "{case}: the restart left a cold-tier arena behind"
+    );
     assert_eq!(report.engine, clean.report.engine, "{case}");
 }
 

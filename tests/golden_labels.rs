@@ -137,3 +137,55 @@ fn tiny_fixture_weights_match_the_golden_digest() {
     let text = format!("fnv1a64 {:016x}\n", weights_digest(&fixture().model));
     check_golden(WEIGHTS, &text, "trained weights");
 }
+
+/// The serving gate's stated bound on the fixture: replaying every test
+/// trip through the integer step, the int8 gate `z_r + u_r` stays within
+/// `GATE_BOUND` of the `f32` gate `u_r + Σ_k W_h[r,k]·h_k` on the same
+/// hidden state `h = q_h / 127` (an `f64` reference on the trained `f32`
+/// weights), and within each row's analytic bound: every code is off by
+/// at most half a step `s_r / 2`, so the row is off by at most
+/// `Σ_k |h_k|·s_r / 2`.
+#[test]
+fn int8_gate_stays_within_the_stated_bound_of_the_f32_gate() {
+    const GATE_BOUND: f64 = 0.01;
+    let Fixture { model, test, .. } = fixture();
+    let packed = model.packed();
+    let wq = packed.lstm_i8.wh();
+    let (input, hidden) = (
+        model.rsrnet.lstm.input_dim(),
+        model.rsrnet.lstm.hidden_dim(),
+    );
+    let gates = 4 * hidden;
+    let w = &model.rsrnet.lstm.w.value;
+    let wh = |r: usize| &w[r * (input + hidden) + input..(r + 1) * (input + hidden)];
+    let mut z = vec![0.0f32; gates];
+    let mut scratch = nn::LstmScratch::default();
+    let (mut worst, mut steps) = (0.0f64, 0usize);
+    for t in &test.trajectories {
+        let (mut c, mut h) = (vec![0.0f32; hidden], vec![0i8; hidden]);
+        for &seg in &t.segments {
+            let u = packed.input_gates(seg);
+            nn::ops::kernels::gemm_i8(wq.view(), &h, hidden, 1, &mut z);
+            let hf: Vec<f64> = h.iter().map(|&q| f64::from(q) / 127.0).collect();
+            for r in 0..gates {
+                let exact: f64 = wh(r).iter().zip(&hf).map(|(&w, x)| f64::from(w) * x).sum();
+                let err = (f64::from(z[r] + u[r]) - (f64::from(u[r]) + exact)).abs();
+                let s = f64::from(wq.factor(r)) * 127.0;
+                let analytic: f64 = hf.iter().map(|x| x.abs() * s / 2.0).sum();
+                assert!(
+                    err <= analytic + 1e-6 * (1.0 + exact.abs() + f64::from(u[r]).abs()),
+                    "row {r}: error {err} above its analytic bound {analytic}"
+                );
+                worst = worst.max(err);
+            }
+            packed.lstm_i8.step(u, &mut c, &mut h, &mut scratch);
+            steps += 1;
+        }
+    }
+    assert!(steps > 0);
+    assert!(
+        worst <= GATE_BOUND,
+        "worst |int8 gate - f32 gate| = {worst} over {steps} steps, bound {GATE_BOUND}"
+    );
+    eprintln!("worst |int8 gate - f32 gate| = {worst:.2e} over {steps} steps");
+}
